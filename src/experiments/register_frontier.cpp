@@ -129,17 +129,27 @@ int run_frontier(const ExperimentContext& ctx, std::ostream& out) {
   out << "(traces per cell under " << cli.out_dir
       << "/frontier_tradeoff.p<P>.<kernel>.<scheduler>.cctrace)\n";
 
+  // Cells: every (kernel, scheduler, P), each traced into its own file.
+  const std::size_t per_kernel = specs.size() * procs.size();
+  std::vector<SimResult> results(kernels.size() * per_kernel);
+  for_each_cell(ctx, results.size(), [&](std::size_t i) {
+    results[i] = run_traced_cell(
+        ctx, machine, kernels[i / per_kernel].prog,
+        specs[i % per_kernel / procs.size()], procs[i % procs.size()],
+        cli.out_dir);
+  });
+
   Table t({"kernel", "scheduler", "procs", "affinity", "imbalance", "time",
            "sync ops", "steals"});
   const int p_top = *std::max_element(procs.begin(), procs.end());
   double sor_aff_afs = -1.0;
   double sor_aff_ss = -1.0;
   double sor_aff_tailor = -1.0;
+  std::size_t cell = 0;
   for (const Kernel& k : kernels) {
     for (const std::string& spec : specs) {
       for (int p : procs) {
-        const SimResult r =
-            run_traced_cell(ctx, machine, k.prog, spec, p, cli.out_dir);
+        const SimResult& r = results[cell++];
         const std::int64_t sync_ops =
             r.local_grabs + r.remote_grabs + r.central_grabs;
         t.add_row({k.label, scheduler_display_name(spec), std::to_string(p),
@@ -155,8 +165,7 @@ int run_frontier(const ExperimentContext& ctx, std::ostream& out) {
         }
       }
     }
-    out << "  " << k.label << ": " << specs.size() * procs.size()
-        << " cells done\n";
+    out << "  " << k.label << ": " << per_kernel << " cells done\n";
   }
   out << t.to_ascii();
   t.write_csv(bench::csv_path(cli, "frontier_tradeoff"));

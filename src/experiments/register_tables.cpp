@@ -1,9 +1,11 @@
 // The bespoke tables (Tables 2-7): experiments whose rows are not a plain
 // (scheduler, P) grid — delayed-start perturbations, sync-operation
 // counts, a single-point scaling check, and the fault-injection extension.
-// Bodies moved verbatim from the former standalone bench binaries, with
-// every simulator invocation routed through run_cell_cached() so the
-// content-addressed store serves repeated cells.
+// Bodies moved from the former standalone bench binaries: each declares
+// its independent cells, runs them through for_each_cell() (every
+// simulator invocation via run_cell_cached(), so the content-addressed
+// store serves repeated cells), then assembles rows, shape checks and
+// CSVs in the original order.
 #include <algorithm>
 #include <cmath>
 #include <iostream>
@@ -48,32 +50,37 @@ int run_tab2(const ExperimentContext& ctx, std::ostream& out) {
   machine.epoch_jitter = 0.0;  // the delay is the experiment's only skew
   const LoopProgram program = balanced_program(n);
 
+  // Cells: every (delay, scheduler) pair, independent of each other.
+  std::vector<double> times(delays.size() * specs.size());
+  for_each_cell(ctx, times.size(), [&](std::size_t i) {
+    // The delayed start is expressed through the fault-injection model:
+    // one initial stall on processor 0 (accounted as stall_time).
+    SimOptions opts;
+    opts.perturb.start_delays.assign(p, 0.0);
+    opts.perturb.start_delays[0] =
+        delays[i / specs.size()] * static_cast<double>(n);
+    times[i] = run_cell_cached(ctx, machine, program, specs[i % specs.size()],
+                               p, opts)
+                   .makespan;
+  });
+
   Table table({"delay", "GSS", "TRAPEZOID", "FACTORING", "AFS(k=2)",
                "AFS(k=P)"});
   bool all_close = true;
   double worst_k2_ratio = 0.0;
   double worst_k2_excess = 0.0;  // absolute time excess over the row's best
-  for (double frac : delays) {
-    std::vector<std::string> row{Table::num(frac, 4) + "N"};
-    double best = 1e300;
-    std::vector<double> times;
-    for (const auto& spec : specs) {
-      // The delayed start is expressed through the fault-injection model:
-      // one initial stall on processor 0 (accounted as stall_time).
-      SimOptions opts;
-      opts.perturb.start_delays.assign(p, 0.0);
-      opts.perturb.start_delays[0] = frac * static_cast<double>(n);
-      const double t =
-          run_cell_cached(ctx, machine, program, spec, p, opts).makespan;
-      times.push_back(t);
-      best = std::min(best, t);
-    }
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      row.push_back(Table::num(times[i], 0));
-      const double ratio = times[i] / best;
+  for (std::size_t d = 0; d < delays.size(); ++d) {
+    std::vector<std::string> row{Table::num(delays[d], 4) + "N"};
+    const double* row_times = &times[d * specs.size()];
+    const double best =
+        *std::min_element(row_times, row_times + specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      const double t = row_times[i];
+      row.push_back(Table::num(t, 0));
+      const double ratio = t / best;
       if (specs[i] == "AFS(k=2)") {
         worst_k2_ratio = std::max(worst_k2_ratio, ratio);
-        worst_k2_excess = std::max(worst_k2_excess, times[i] - best);
+        worst_k2_excess = std::max(worst_k2_excess, t - best);
       } else if (ratio > 1.02) {
         all_close = false;
       }
@@ -108,19 +115,28 @@ int run_sync_ops_table(const std::string& id, const std::string& title,
                        const LoopProgram& program,
                        const ExperimentContext& ctx, std::ostream& out) {
   out << "== " << id << ": " << title << " ==\n";
+  const MachineConfig machine = iris();
+  const std::vector<int> procs{1, 2, 4, 6, 8};
+  const std::vector<std::string> specs{"SS", "GSS", "FACTORING", "TRAPEZOID",
+                                       "AFS"};
+
+  // Cells: every (P, scheduler) pair; AFS is last in each row.
+  std::vector<SimResult> results(procs.size() * specs.size());
+  for_each_cell(ctx, results.size(), [&](std::size_t i) {
+    results[i] = run_cell_cached(ctx, machine, program, specs[i % specs.size()],
+                                 procs[i / specs.size()]);
+  });
+
   Table table({"P", "SS", "GSS", "FACTORING", "TRAPEZOID", "AFS remote/queue",
                "AFS local/queue"});
-  const MachineConfig machine = iris();
-
-  for (int p : {1, 2, 4, 6, 8}) {
-    std::vector<std::string> row{std::to_string(p)};
-    for (const char* spec : {"SS", "GSS", "FACTORING", "TRAPEZOID"}) {
-      const SimResult r = run_cell_cached(ctx, machine, program, spec, p);
-      row.push_back(Table::num(r.sched_stats.grabs_per_loop(), 1));
-    }
-    const SimResult r = run_cell_cached(ctx, machine, program, "AFS", p);
-    row.push_back(Table::num(r.sched_stats.remote_per_queue_per_loop(), 2));
-    row.push_back(Table::num(r.sched_stats.local_per_queue_per_loop(), 2));
+  for (std::size_t row_i = 0; row_i < procs.size(); ++row_i) {
+    std::vector<std::string> row{std::to_string(procs[row_i])};
+    const SimResult* r = &results[row_i * specs.size()];
+    for (std::size_t i = 0; i + 1 < specs.size(); ++i)
+      row.push_back(Table::num(r[i].sched_stats.grabs_per_loop(), 1));
+    const SimResult& afs = r[specs.size() - 1];
+    row.push_back(Table::num(afs.sched_stats.remote_per_queue_per_loop(), 2));
+    row.push_back(Table::num(afs.sched_stats.local_per_queue_per_loop(), 2));
     table.add_row(std::move(row));
   }
   out << table.to_ascii();
@@ -142,13 +158,19 @@ int run_tab6(const ExperimentContext& ctx, std::ostream& out) {
   const MachineConfig machine = ksr1();
   const double serial = MachineSim(machine).ideal_serial_time(program);
 
+  const std::vector<std::string> specs{"AFS",       "STATIC",
+                                       "MOD-FACTORING", "FACTORING",
+                                       "TRAPEZOID", "GSS"};
+  std::vector<double> times(specs.size());
+  for_each_cell(ctx, specs.size(), [&](std::size_t i) {
+    times[i] = run_cell_cached(ctx, machine, program, specs[i], 16).makespan;
+  });
+
   Table table({"scheduler", "completion time", "vs AFS", "speedup"});
   std::vector<std::pair<std::string, double>> results;
-  for (const char* spec : {"AFS", "STATIC", "MOD-FACTORING", "FACTORING",
-                           "TRAPEZOID", "GSS"}) {
-    const SimResult r = run_cell_cached(ctx, machine, program, spec, 16);
-    results.emplace_back(spec, r.makespan);
-    out << "  " << spec << ": done\n";
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    results.emplace_back(specs[i], times[i]);
+    out << "  " << specs[i] << ": done\n";
   }
   const double afs_time = results.front().second;
   for (const auto& [spec, t] : results) {
@@ -200,7 +222,10 @@ bool identical(const SimResult& a, const SimResult& b) {
 // run Gaussian elimination unperturbed to get a baseline, then re-run
 // under increasing fault intensity and report the slowdown plus the fault
 // counters. Unlike the paper-reproduction experiments, this one *fails*
-// (nonzero exit) when a resilience invariant breaks.
+// (nonzero exit) when a resilience invariant breaks. The cells run in two
+// waves through for_each_cell: first every unperturbed baseline, then
+// every perturbed cell (whose fault intervals scale with its baseline)
+// together with its unbatched twin.
 int run_tab7(const ExperimentContext& ctx, std::ostream& out) {
   out << "== tab7: scheduler resilience vs. fault intensity "
          "(Gauss, deterministic fault injection) ==\n";
@@ -232,100 +257,131 @@ int run_tab7(const ExperimentContext& ctx, std::ostream& out) {
   const std::vector<std::string> levels{"none", "stall-low", "stall-high",
                                         "mem-faults", "proc-loss"};
 
-  Table table({"machine", "sched", "fault", "makespan", "slowdown", "stall%",
-               "stolen", "abandoned"});
+  // Fault settings of one rung of the ladder. The stall and burst
+  // intervals scale with the scheduler's unperturbed makespan on that
+  // machine, which is why the ladder runs in two waves below.
+  const auto ladder_options = [](const std::string& level, double baseline,
+                                 const MachineCase& mc) {
+    SimOptions opts;
+    PerturbationConfig& pc = opts.perturb;
+    if (level == "stall-low") {
+      pc.stall_mean_interval = baseline * 0.05;
+      pc.stall_duration = baseline * 0.0025;  // ~5% of time stalled
+    } else if (level == "stall-high") {
+      pc.stall_mean_interval = baseline * 0.02;
+      pc.stall_duration = baseline * 0.004;  // ~20% of time stalled
+    } else if (level == "mem-faults") {
+      pc.mem_spike_prob = 0.1;
+      pc.mem_spike_latency = 5.0 * mc.config.miss_latency;
+      pc.burst_mean_interval = baseline * 0.1;
+      pc.burst_duration = baseline * 0.02;
+      pc.burst_multiplier = 4.0;
+    } else if (level == "proc-loss") {
+      pc.losses.push_back({0, baseline * 0.3});
+    }
+    return opts;
+  };
+
+  // One series per (lineup, machine, scheduler). The paper lineup fills
+  // the golden tab7.csv; the adaptive frontier rides the same ladder (and
+  // the same invariants) into its own CSV so tab7.csv stays byte-stable.
+  const std::vector<std::vector<std::string>> lineups{
+      specs, adaptive_scheduler_specs()};
+  struct Series {
+    std::size_t lineup;
+    const MachineCase* mc;
+    const LoopProgram* program;
+    std::string spec;
+  };
+  std::vector<LoopProgram> programs;
+  for (const MachineCase& mc : machines)
+    programs.push_back(GaussKernel::program(mc.n));
+  std::vector<Series> series;
+  for (std::size_t l = 0; l < lineups.size(); ++l)
+    for (std::size_t m = 0; m < machines.size(); ++m)
+      for (const std::string& spec : lineups[l])
+        series.push_back({l, &machines[m], &programs[m], spec});
+
+  // Wave 1: every series' unperturbed ("none") baseline.
+  std::vector<SimResult> baselines(series.size());
+  for_each_cell(ctx, series.size(), [&](std::size_t i) {
+    const Series& s = series[i];
+    baselines[i] =
+        run_cell_cached(ctx, s.mc->config, *s.program, s.spec, s.mc->procs);
+  });
+
+  // Wave 2: every perturbed rung of every series, scaled by its baseline,
+  // each followed by its unbatched twin for the batching-invariance
+  // check: cell 2k is rung k batched, cell 2k+1 the same rung unbatched.
+  const std::size_t rungs = levels.size() - 1;  // levels[0] is "none"
+  std::vector<SimResult> perturbed(series.size() * rungs * 2);
+  for_each_cell(ctx, perturbed.size(), [&](std::size_t i) {
+    const std::size_t k = i / 2;
+    const Series& s = series[k / rungs];
+    SimOptions opts = ladder_options(levels[1 + k % rungs],
+                                     baselines[k / rungs].makespan, *s.mc);
+    if (i % 2 == 1) opts.batch_iterations = false;
+    perturbed[i] = run_cell_cached(ctx, s.mc->config, *s.program, s.spec,
+                                   s.mc->procs, opts);
+  });
+
   bool conservation_ok = true;
   bool batching_ok = true;
   bool afs_loss_ok = false;
   bool static_loss_ok = false;
+  std::vector<Table> tables(
+      lineups.size(), Table({"machine", "sched", "fault", "makespan",
+                             "slowdown", "stall%", "stolen", "abandoned"}));
+  for (std::size_t si = 0; si < series.size(); ++si) {
+    const Series& s = series[si];
+    const MachineCase& mc = *s.mc;
+    const double baseline = baselines[si].makespan;
+    for (std::size_t li = 0; li < levels.size(); ++li) {
+      const std::string& level = levels[li];
+      const SimResult* batched =
+          li == 0 ? nullptr : &perturbed[2 * (si * rungs + li - 1)];
+      const SimResult& r = batched ? *batched : baselines[si];
 
-  // Shared fault ladder for any scheduler lineup: the paper lineup fills
-  // the golden tab7.csv; the adaptive frontier rides the same ladder (and
-  // the same invariants) into its own CSV so tab7.csv stays byte-stable.
-  auto run_lineup = [&](const std::vector<std::string>& lineup,
-                        Table& rows) {
-  for (const MachineCase& mc : machines) {
-    const LoopProgram program = GaussKernel::program(mc.n);
-    for (const std::string& spec : lineup) {
-      double baseline = 0.0;
-      for (const std::string& level : levels) {
-        SimOptions opts;
-        PerturbationConfig& pc = opts.perturb;
-        if (level == "stall-low") {
-          pc.stall_mean_interval = baseline * 0.05;
-          pc.stall_duration = baseline * 0.0025;  // ~5% of time stalled
-        } else if (level == "stall-high") {
-          pc.stall_mean_interval = baseline * 0.02;
-          pc.stall_duration = baseline * 0.004;  // ~20% of time stalled
-        } else if (level == "mem-faults") {
-          pc.mem_spike_prob = 0.1;
-          pc.mem_spike_latency = 5.0 * mc.config.miss_latency;
-          pc.burst_mean_interval = baseline * 0.1;
-          pc.burst_duration = baseline * 0.02;
-          pc.burst_multiplier = 4.0;
-        } else if (level == "proc-loss") {
-          pc.losses.push_back({0, baseline * 0.3});
-        }
-
-        const SimResult r =
-            run_cell_cached(ctx, mc.config, program, spec, mc.procs, opts);
-        if (level == "none") baseline = r.makespan;
-
-        if (!check_time_identity(r, mc.procs)) {
-          conservation_ok = false;
-          std::cerr << "conservation violated: " << mc.config.name << " "
-                    << spec << " " << level << " accounted="
-                    << accounted_time(r) << " expected="
-                    << mc.procs * r.makespan << "\n";
-        }
-        if (level != "none") {
-          SimOptions unbatched = opts;
-          unbatched.batch_iterations = false;
-          const SimResult r_ab = run_cell_cached(ctx, mc.config, program,
-                                                 spec, mc.procs, unbatched);
-          if (!identical(r, r_ab)) {
-            batching_ok = false;
-            std::cerr << "batching divergence: " << mc.config.name << " "
-                      << spec << " " << level << "\n";
-          }
-        }
-        if (level == "proc-loss" && spec == "AFS" &&
-            r.lost_processor_count == 1 && r.stolen_under_fault > 0)
-          afs_loss_ok = true;
-        if (level == "proc-loss" && spec == "STATIC" &&
-            r.abandoned_iterations > 0)
-          static_loss_ok = true;
-
-        rows.add_row(
-            {mc.config.name, spec, level, Table::num(r.makespan, 0),
-             Table::num(baseline > 0.0 ? r.makespan / baseline : 1.0, 3),
-             Table::num(r.makespan > 0.0
-                            ? 100.0 * r.stall_time /
-                                  (mc.procs * r.makespan)
-                            : 0.0,
-                        1),
-             Table::num(r.stolen_under_fault),
-             Table::num(r.abandoned_iterations)});
+      if (!check_time_identity(r, mc.procs)) {
+        conservation_ok = false;
+        std::cerr << "conservation violated: " << mc.config.name << " "
+                  << s.spec << " " << level << " accounted="
+                  << accounted_time(r) << " expected=" << mc.procs * r.makespan
+                  << "\n";
       }
+      if (batched && !identical(r, batched[1])) {
+        batching_ok = false;
+        std::cerr << "batching divergence: " << mc.config.name << " "
+                  << s.spec << " " << level << "\n";
+      }
+      if (level == "proc-loss" && s.spec == "AFS" &&
+          r.lost_processor_count == 1 && r.stolen_under_fault > 0)
+        afs_loss_ok = true;
+      if (level == "proc-loss" && s.spec == "STATIC" &&
+          r.abandoned_iterations > 0)
+        static_loss_ok = true;
+
+      tables[s.lineup].add_row(
+          {mc.config.name, s.spec, level, Table::num(r.makespan, 0),
+           Table::num(baseline > 0.0 ? r.makespan / baseline : 1.0, 3),
+           Table::num(r.makespan > 0.0
+                          ? 100.0 * r.stall_time / (mc.procs * r.makespan)
+                          : 0.0,
+                      1),
+           Table::num(r.stolen_under_fault),
+           Table::num(r.abandoned_iterations)});
     }
   }
-  };
-  run_lineup(specs, table);
 
-  out << table.to_ascii();
-  table.write_csv(bench::csv_path(ctx.cli, "tab7"));
-  out << "(csv: " << bench::csv_path(ctx.cli, "tab7") << ")\n";
-
-  // The adaptive frontier under the same fault ladder: their rows land in
-  // tab7_adaptive.csv, but every run still feeds the conservation and
-  // batching-invariance checks above — a feedback scheduler must degrade
-  // as gracefully as the paper's nine.
-  Table adaptive_table({"machine", "sched", "fault", "makespan", "slowdown",
-                        "stall%", "stolen", "abandoned"});
-  run_lineup(adaptive_scheduler_specs(), adaptive_table);
-  out << adaptive_table.to_ascii();
-  adaptive_table.write_csv(bench::csv_path(ctx.cli, "tab7_adaptive"));
-  out << "(csv: " << bench::csv_path(ctx.cli, "tab7_adaptive") << ")\n";
+  // The adaptive rows land in tab7_adaptive.csv, but every run still fed
+  // the conservation and batching-invariance checks above: a feedback
+  // scheduler must degrade as gracefully as the paper's nine.
+  const std::vector<std::string> csv_ids{"tab7", "tab7_adaptive"};
+  for (std::size_t l = 0; l < lineups.size(); ++l) {
+    out << tables[l].to_ascii();
+    tables[l].write_csv(bench::csv_path(ctx.cli, csv_ids[l]));
+    out << "(csv: " << bench::csv_path(ctx.cli, csv_ids[l]) << ")\n";
+  }
 
   report_shape(out, conservation_ok,
                "extended conservation (incl. stall_time) holds in every run");

@@ -1,8 +1,10 @@
 #include "experiments/registry.hpp"
 
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 
+#include "runtime/parallel_for.hpp"
 #include "sched/registry.hpp"
 #include "store/cell_key.hpp"
 #include "store/result_store.hpp"
@@ -37,11 +39,14 @@ int run_experiment(const Experiment& e, const ExperimentContext& ctx,
            "directly; not an in-process sweep)\n";
     return EXIT_SUCCESS;
   }
-  if (e.kind == ExperimentKind::kTable && ctx.cli.runner_flags_set()) {
+  const bench::BenchCli& cli = ctx.cli;
+  if (e.kind == ExperimentKind::kTable &&
+      (cli.resume || cli.cell_timeout > 0.0 || cli.sweep_timeout > 0.0 ||
+       cli.cell_retries >= 0)) {
     std::cerr << e.id
-              << ": note: this table's rows are interdependent; "
-                 "--jobs/--resume/--*-timeout are accepted but the table "
-                 "runs serially without checkpoints\n";
+              << ": note: tables honour --jobs but keep no checkpoints; "
+                 "--resume/--*-timeout/--cell-retries are accepted and "
+                 "ignored\n";
   }
   return e.run(ctx, out);
 }
@@ -163,6 +168,28 @@ SimResult run_cell_cached(const ExperimentContext& ctx,
   }
   if (ctx.store && key.cacheable) ctx.store->save(key, r);
   return r;
+}
+
+void for_each_cell(const ExperimentContext& ctx, std::size_t n,
+                   const std::function<void(std::size_t)>& fn) {
+  if (ctx.pool == nullptr || ctx.cli.jobs <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  // One failed cell fails the table, so the workers stop taking new
+  // cells; the pool rethrows the first failure once every worker is out.
+  std::atomic<bool> failed{false};
+  const auto ss = make_scheduler("SS");
+  parallel_for_each(*ctx.pool, *ss, static_cast<std::int64_t>(n),
+                    [&](std::int64_t i, int) {
+                      if (failed.load(std::memory_order_relaxed)) return;
+                      try {
+                        fn(static_cast<std::size_t>(i));
+                      } catch (...) {
+                        failed.store(true, std::memory_order_relaxed);
+                        throw;
+                      }
+                    });
 }
 
 std::string scheduler_display_name(const std::string& sched_spec) {

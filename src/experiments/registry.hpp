@@ -10,6 +10,7 @@
 // (docs/SWEEP_SERVICE.md).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <ostream>
 #include <string>
@@ -26,14 +27,15 @@ class ThreadPool;
 
 enum class ExperimentKind {
   kFigure,  ///< a FigureSpec sweep through the crash-safe sweep runner
-  kTable,   ///< a bespoke table (interdependent rows; runs serially)
+  kTable,   ///< a bespoke table (cells on the shared pool; no checkpoints)
   kMicro,   ///< a google-benchmark binary; listed, not runnable in-process
 };
 
 /// Everything an experiment needs from its caller. The store and pool are
 /// borrowed (not owned) and optional: without a store every cell is
-/// simulated; without a pool each figure sweep builds its own workers
-/// (bespoke tables always run serially in the caller's thread).
+/// simulated; without a pool each figure sweep builds its own workers and
+/// the bespoke tables run their cells serially in the caller's thread
+/// (with one and --jobs > 1 they share it: for_each_cell).
 struct ExperimentContext {
   bench::BenchCli cli;
   ResultStore* store = nullptr;
@@ -97,9 +99,10 @@ Experiment figure_experiment(
     std::string id, std::string title, std::function<FigureSpec()> make_spec,
     std::function<bool(const FigureResult&, std::ostream&)> shapes);
 
-/// Packages a bespoke table body as an Experiment. Tables with
-/// interdependent rows accept the runner flags for CLI uniformity but run
-/// serially (run_experiment prints the note when the flags are set).
+/// Packages a bespoke table body as an Experiment. Tables honour --jobs
+/// (their independent cells go through for_each_cell) but accept
+/// --resume and the --*-timeout flags only for CLI uniformity: they keep
+/// no checkpoints (run_experiment prints the note when those are set).
 Experiment table_experiment(
     std::string id, std::string title, std::vector<std::string> csv_ids,
     std::function<int(const ExperimentContext&, std::ostream&)> run);
@@ -115,6 +118,17 @@ SimResult run_cell_cached(const ExperimentContext& ctx,
                           const LoopProgram& program,
                           const std::string& sched_spec, int procs,
                           const SimOptions& options = {});
+
+/// Runs fn(i) for every i in [0, n): a bespoke table's independent cells.
+/// With the context's pool and --jobs > 1 the pool's workers take the
+/// cells one at a time under self-scheduling (SS), the paper's own answer
+/// to cells of unequal cost; otherwise they run in the caller's thread in
+/// declaration order, the reference order (as run_sweep at --jobs=1).
+/// fn must touch only its own cell's slot of caller-owned state. The
+/// first exception a cell throws is rethrown unchanged after the cells in
+/// flight finish; cells not yet started are then skipped.
+void for_each_cell(const ExperimentContext& ctx, std::size_t n,
+                   const std::function<void(std::size_t)>& fn);
 
 /// Display name of the scheduler a spec string builds (e.g. "AFS" ->
 /// "AFS(k=P)") without running anything — the bespoke tables label rows

@@ -285,8 +285,8 @@ void clear_checkpoints(const std::filesystem::path& dir) {
   std::error_code ec;
   for (const auto& e : std::filesystem::directory_iterator(dir, ec)) {
     const std::string name = e.path().filename().string();
-    if (name.size() >= 5 && (name.ends_with(".cell") ||
-                             name.ends_with(".cell.tmp")))
+    if (name.ends_with(".cell") ||
+        name.find(".cell.tmp.") != std::string::npos)
       std::filesystem::remove(e.path(), ec);
   }
   std::filesystem::remove(dir / kManifestName, ec);

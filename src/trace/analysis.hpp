@@ -89,11 +89,15 @@ struct TraceAnalysis {
 /// (a file normally holds a single run_begin..run_end span, but the
 /// sinks allow several back to back). Throws std::runtime_error on
 /// sequences that violate the schema (events outside a run, chunk
-/// before loop_begin, missing run_end).
+/// before loop_begin, missing run_end, a negative loop size or an
+/// implausible processor count).
 std::vector<TraceAnalysis> analyze_trace(
     const std::vector<TraceRecord>& records);
 
-/// Convenience: analyze_trace over read_trace(path).
+/// analyze_trace over the records of a trace file, streamed through
+/// TraceReader::next rather than decoded into a vector first; the result
+/// equals analyze_trace(read_trace(path)). Malformed files throw
+/// std::runtime_error.
 std::vector<TraceAnalysis> analyze_trace_file(const std::string& path);
 
 }  // namespace afs

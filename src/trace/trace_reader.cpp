@@ -207,9 +207,14 @@ double TraceReader::read_value() {
 }
 
 bool TraceReader::next_binary(TraceRecord& rec) {
-  for (;;) {
+  for (bool after_definition = false;; after_definition = true) {
     const int c = in_->get();
-    if (c == std::istream::traits_type::eof()) return false;  // clean end
+    if (c == std::istream::traits_type::eof()) {
+      // The sink defines each string right before the first record that
+      // uses it, so a definition with no record after it is a cut file.
+      if (after_definition) fail("trace ends after a string definition");
+      return false;  // clean end
+    }
     const auto opcode = static_cast<std::uint8_t>(c);
     if (opcode == 0) {
       // String definition: ids are assigned sequentially at first use.

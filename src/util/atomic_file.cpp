@@ -3,11 +3,18 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <sstream>
 #include <stdexcept>
+#include <thread>
+
+#include "util/hash.hpp"
 
 namespace afs {
 namespace {
@@ -32,14 +39,24 @@ void fsync_parent_dir(const std::filesystem::path& p) {
 
 }  // namespace
 
+std::string unique_tmp_path(const std::string& final_path) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::uint64_t tid =
+      std::hash<std::thread::id>{}(std::this_thread::get_id());
+  std::ostringstream os;
+  os << final_path << ".tmp." << ::getpid() << '.' << hex64(tid).substr(8)
+     << '.' << counter.fetch_add(1);
+  return os.str();
+}
+
 void write_file_atomic(const std::string& path, const std::string& content) {
   const std::filesystem::path target(path);
   if (target.has_parent_path())
     std::filesystem::create_directories(target.parent_path());
 
-  const std::string tmp = path + ".tmp";
+  const std::string tmp = unique_tmp_path(path);
   const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
   if (fd < 0) fail("cannot open", tmp);
 
   std::size_t off = 0;

@@ -4,7 +4,6 @@
 // feedback-driven cells across sweep parallelism.
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "runtime/sweep_runner.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
+#include "support/test_dir.hpp"
 #include "trace/analysis.hpp"
 #include "trace/binary_sink.hpp"
 
@@ -40,17 +40,13 @@ TEST(FrontierRegistry, Tab7CarriesTheAdaptiveCsv) {
 
 /// Simulates one traced cell and returns its trace analysis — the same
 /// evidence chain frontier_tradeoff scores cells with.
-TraceAnalysis traced_run(const std::string& spec, int p) {
+TraceAnalysis traced_run(const TestDir& dir, const std::string& spec, int p) {
   // Default iris, jitter included (deterministically seeded): with a
   // zero-jitter machine SS's grab pattern repeats exactly each epoch and
   // every central-queue scheduler scores a vacuous 1.0.
   const MachineConfig m = iris();
   const LoopProgram prog = SorKernel::program(256, 8);
-  const std::filesystem::path dir =
-      std::filesystem::path("frontier_test_traces");
-  std::filesystem::create_directories(dir);
-  const std::string path =
-      (dir / (spec + ".p" + std::to_string(p) + ".cctrace")).string();
+  const std::string path = dir / (spec + ".p" + std::to_string(p) + ".cctrace");
   SimOptions opts;
   BinaryTraceSink sink(path);
   opts.trace = &sink;
@@ -69,14 +65,16 @@ TEST(FrontierPins, TailorAffinityAtLeastAfsOnSorAtP8) {
   // threshold, and re-homes toward the observed placement when it does
   // not — so on SOR at P=8 its affinity score must never fall below
   // AFS's. This is the hard version of frontier_tradeoff's soft shape.
-  const TraceAnalysis afs = traced_run("AFS", 8);
-  const TraceAnalysis tailor = traced_run("TAILOR(0.5)", 8);
+  const TestDir dir;
+  const TraceAnalysis afs = traced_run(dir, "AFS", 8);
+  const TraceAnalysis tailor = traced_run(dir, "TAILOR(0.5)", 8);
   EXPECT_GE(tailor.affinity_score(), afs.affinity_score() - 1e-12);
 }
 
 TEST(FrontierPins, AfsAffinityBeatsSelfSchedulingOnSorAtP8) {
-  const TraceAnalysis afs = traced_run("AFS", 8);
-  const TraceAnalysis ss = traced_run("SS", 8);
+  const TestDir dir;
+  const TraceAnalysis afs = traced_run(dir, "AFS", 8);
+  const TraceAnalysis ss = traced_run(dir, "SS", 8);
   EXPECT_GT(afs.affinity_score(), ss.affinity_score());
 }
 
@@ -117,9 +115,11 @@ TEST(FrontierSweep, AdaptiveCellsBitIdenticalAcrossJobs) {
   // The feedback channel must not make sweep results depend on worker
   // interleaving: each cell owns a private scheduler and a deterministic
   // simulated clock, so --jobs=1 and --jobs=4 serialize identically.
-  const auto sweep = [](int jobs) {
+  const TestDir dir;
+  const auto sweep = [&dir](int jobs) {
     FigureSpec spec;
     spec.id = "frontiertest";
+    spec.out_dir = dir.str();
     spec.title = "adaptive jobs determinism";
     spec.machine = iris();
     spec.machine.epoch_jitter = 0.0;

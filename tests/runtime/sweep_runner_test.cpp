@@ -23,6 +23,7 @@
 #include "runtime/cell_executor.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
+#include "util/atomic_file.hpp"
 #include "util/check.hpp"
 
 namespace afs {
@@ -230,6 +231,27 @@ TEST(SweepRunner, ResumeRejectsForeignManifest) {
   ASSERT_TRUE(other.complete());
   EXPECT_EQ(other.cells_resumed, 0);
   EXPECT_EQ(computed.load(), 2);
+}
+
+TEST(SweepRunner, StaleCheckpointClearRemovesStagingFiles) {
+  // A writer killed between staging and rename leaves
+  // <cell>.cell.tmp.<pid>.<tid>.<n>; clearing stale checkpoints for a new
+  // sweep must sweep those too, not just <cell>.cell.
+  const std::vector<std::string> labels{"AFS"};
+  const std::vector<int> procs{1, 2};
+  const std::string dir = fresh_dir("sweep_staging");
+  SweepOptions opts;
+  opts.checkpoint_dir = dir;
+  ASSERT_TRUE(run_sweep("sweep-one", synthetic_cells(labels, procs), opts)
+                  .complete());
+  const std::string staged =
+      unique_tmp_path(cell_checkpoint_path(dir, "AFS", 1));
+  std::ofstream(staged) << "half-written";
+  ASSERT_TRUE(fs::exists(staged));
+
+  ASSERT_TRUE(run_sweep("sweep-two", synthetic_cells(labels, procs), opts)
+                  .complete());
+  EXPECT_FALSE(fs::exists(staged));
 }
 
 TEST(SweepRunner, RetryScheduleIsDeterministic) {

@@ -4,10 +4,20 @@
 // paper numbers; schema violations must throw rather than mis-aggregate.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <fstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "kernels/sor.hpp"
+#include "machines/machines.hpp"
+#include "sched/registry.hpp"
+#include "sim/machine_sim.hpp"
+#include "support/test_dir.hpp"
 #include "trace/analysis.hpp"
+#include "trace/binary_sink.hpp"
+#include "trace/trace_reader.hpp"
 #include "trace/trace_record.hpp"
 
 namespace afs {
@@ -209,6 +219,126 @@ TEST(TraceAnalysis, RejectsSchemaViolations) {
   EXPECT_THROW(
       analyze_trace({run_begin(1), chunk(5, 0, 4, 0.0, 4.0), run_end(4.0)}),
       std::runtime_error);  // processor index out of range
+}
+
+TEST(TraceAnalysis, RejectsImplausibleSizes) {
+  // A corrupt count must be an error, not a giant (or negative-sized)
+  // allocation.
+  EXPECT_THROW(analyze_trace({run_begin(-1), run_end(0.0)}),
+               std::runtime_error);
+  EXPECT_THROW(analyze_trace({run_begin(1 << 20), run_end(0.0)}),
+               std::runtime_error);
+  EXPECT_THROW(
+      analyze_trace({run_begin(1), loop_begin(0, -4, 1), run_end(0.0)}),
+      std::runtime_error);
+}
+
+/// Simulates one frontier_tradeoff-style cell (multi-epoch SOR on the
+/// Iris, AFS at P=8, so remote steals and affinity both show) into a
+/// .cctrace under `dir` and returns its path.
+std::string traced_cell(const TestDir& dir) {
+  const std::string path = dir / "cell.cctrace";
+  BinaryTraceSink sink(path);
+  SimOptions opts;
+  opts.trace = &sink;
+  MachineSim sim(iris(), opts);
+  const auto sched = make_scheduler("AFS");
+  (void)sim.run(SorKernel::program(256, 8), *sched, 8);
+  sink.finalize();
+  return path;
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+TEST(TraceAnalysis, StreamedFileEqualsAnalysisOfDecodedRecords) {
+  const TestDir dir;
+  const std::string path = traced_cell(dir);
+  const std::vector<TraceAnalysis> streamed = analyze_trace_file(path);
+  const std::vector<TraceAnalysis> decoded = analyze_trace(read_trace(path));
+  ASSERT_EQ(streamed.size(), 1u);
+  ASSERT_EQ(decoded.size(), 1u);
+  const TraceAnalysis& a = streamed.front();
+  const TraceAnalysis& b = decoded.front();
+  EXPECT_EQ(a.machine, b.machine);
+  EXPECT_EQ(a.program, b.program);
+  EXPECT_EQ(a.scheduler, b.scheduler);
+  EXPECT_EQ(a.p, b.p);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.records, b.records);
+  EXPECT_EQ(a.epochs, b.epochs);
+  ASSERT_EQ(a.procs.size(), b.procs.size());
+  for (std::size_t i = 0; i < a.procs.size(); ++i) {
+    EXPECT_EQ(a.procs[i].exec, b.procs[i].exec) << "proc " << i;
+    EXPECT_EQ(a.procs[i].memory, b.procs[i].memory) << "proc " << i;
+    EXPECT_EQ(a.procs[i].sync, b.procs[i].sync) << "proc " << i;
+    EXPECT_EQ(a.procs[i].stall, b.procs[i].stall) << "proc " << i;
+    EXPECT_EQ(a.procs[i].idle, b.procs[i].idle) << "proc " << i;
+    EXPECT_EQ(a.procs[i].iterations, b.procs[i].iterations) << "proc " << i;
+    EXPECT_EQ(a.procs[i].chunks, b.procs[i].chunks) << "proc " << i;
+  }
+  EXPECT_EQ(a.steal_iters, b.steal_iters);
+  EXPECT_EQ(a.fault_steal_iters, b.fault_steal_iters);
+  EXPECT_EQ(a.total_iterations, b.total_iterations);
+  EXPECT_EQ(a.executed_iterations, b.executed_iterations);
+  EXPECT_EQ(a.abandoned_iterations, b.abandoned_iterations);
+  EXPECT_EQ(a.affine_iterations, b.affine_iterations);
+  EXPECT_EQ(a.scored_iterations, b.scored_iterations);
+
+  // Not a vacuous comparison: the cell steals, scores affinity, conserves.
+  EXPECT_GT(a.remote_steals(), 0);
+  EXPECT_GT(a.scored_iterations, 0);
+  EXPECT_TRUE(a.conserved());
+}
+
+TEST(TraceAnalysis, TruncatedOrFlippedFilesThrowRuntimeError) {
+  const TestDir dir;
+  const std::string good = read_file(traced_cell(dir));
+  ASSERT_GT(good.size(), 64u);
+  const std::string bad = dir / "bad.cctrace";
+
+  // The magic alone is a well-formed trace of zero runs (what a sink that
+  // never saw a run writes). Every longer strict prefix is malformed: it
+  // stops inside a record, after a string definition with no record to
+  // use it, or at a record boundary before run_end.
+  const std::size_t header = sizeof BinaryTraceSink::kMagic;
+  write_bytes(bad, good.substr(0, header));
+  EXPECT_TRUE(analyze_trace_file(bad).empty());
+  std::vector<std::size_t> cuts;
+  for (std::size_t n = 0; n < 64; ++n)
+    if (n != header) cuts.push_back(n);
+  for (std::size_t k = 1; k < 32; ++k) cuts.push_back(good.size() * k / 32);
+  cuts.push_back(good.size() - 1);
+  for (std::size_t n : cuts) {
+    write_bytes(bad, good.substr(0, n));
+    EXPECT_THROW(analyze_trace_file(bad), std::runtime_error)
+        << "prefix of " << n << " of " << good.size() << " bytes";
+  }
+
+  // Flipping every bit of the first byte after the magic turns a string
+  // definition into an unknown opcode; flipping the last byte (the end
+  // of run_end's varint) sets a continuation bit with nothing after it.
+  for (std::size_t at : {header, good.size() - 1}) {
+    std::string flipped = good;
+    flipped[at] = static_cast<char>(~flipped[at]);
+    write_bytes(bad, flipped);
+    EXPECT_THROW(analyze_trace_file(bad), std::runtime_error)
+        << "byte " << at << " flipped";
+  }
+
+  // Anywhere else a flipped byte may still decode (a time changes value),
+  // but it must never crash or escape as anything but runtime_error.
+  for (std::size_t at = header; at < good.size(); at += good.size() / 509) {
+    std::string flipped = good;
+    flipped[at] = static_cast<char>(~flipped[at]);
+    write_bytes(bad, flipped);
+    try {
+      (void)analyze_trace_file(bad);
+    } catch (const std::runtime_error&) {
+      // the expected way to refuse a corrupt file
+    }
+  }
 }
 
 }  // namespace
