@@ -219,11 +219,13 @@ bool parse_sim_result(const std::string& text, SimResult& out) {
       return false;
   }
   // Between the q-lines and "end": optional `xaff`/`ximb` enrichment
-  // lines (absent in entries written before those fields existed).
+  // lines (absent in entries written before those fields existed). The
+  // serializer writes them only when >= 0; anything else (negative, NaN)
+  // would not round-trip, so it is corrupt.
   auto parse_x = [&](const std::string& value, double& v) {
     char* end = nullptr;
     v = std::strtod(value.c_str(), &end);
-    return end != value.c_str() && *end == '\0';
+    return end != value.c_str() && *end == '\0' && v >= 0.0;
   };
   for (;;) {
     if (!std::getline(is, line)) return false;

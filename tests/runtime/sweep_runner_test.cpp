@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -175,6 +176,101 @@ TEST(SweepRunner, ParseRejectsCorruption) {
   std::string bad = good;
   bad.replace(bad.find("busy "), 5, "busy x");
   EXPECT_FALSE(parse_sim_result(bad, out));
+}
+
+TEST(SweepRunner, ParseRejectsTraceFieldsTheSerializerNeverWrites) {
+  // xaff/ximb are written only when >= 0, so a negative or NaN value could
+  // not round-trip: the reparsed result would carry the -1 default.
+  const std::string good = serialize_sim_result(synthetic_result("GSS", 3));
+  const std::size_t end = good.rfind("end\n");
+  SimResult out;
+  for (const char* line : {"xaff -0x1p-1\n", "ximb -0x1p+3\n", "xaff nan\n",
+                           "ximb -nan\n"})
+    EXPECT_FALSE(parse_sim_result(
+        std::string(good).insert(end, line), out))
+        << line;
+  ASSERT_TRUE(parse_sim_result(
+      std::string(good).insert(end, "xaff 0x0p+0\nximb 0x1p-2\n"), out));
+  EXPECT_EQ(out.trace_affinity_score, 0.0);
+  EXPECT_EQ(out.trace_imbalance, 0.25);
+}
+
+// A parse succeeded: the value must survive serialize -> parse unchanged.
+// The text compares every field exactly (hexfloats, integers); the two
+// optional trace fields, which the text may omit, compare by bits.
+::testing::AssertionResult round_trips(const SimResult& r) {
+  const std::string text = serialize_sim_result(r);
+  SimResult back;
+  if (!parse_sim_result(text, back))
+    return ::testing::AssertionFailure() << "reserialized text rejected";
+  auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  if (serialize_sim_result(back) != text ||
+      !same_bits(r.trace_affinity_score, back.trace_affinity_score) ||
+      !same_bits(r.trace_imbalance, back.trace_imbalance))
+    return ::testing::AssertionFailure() << "value changed on round trip";
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SweepRunner, HostileInputNeverCrashesAndAcceptsOnlyRoundTrips) {
+  // Deterministic (fixed-seed xorshift), like protocol_test: a failure
+  // reproduces byte for byte. The seed document has every line kind:
+  // scalars, q-lines and both optional trace fields.
+  MachineSim sim(ksr1());
+  auto sched = make_scheduler("AFS");
+  SimResult seed = sim.run(GaussKernel::program(32), *sched, 4);
+  seed.trace_affinity_score = 0.75;
+  seed.trace_imbalance = 0.125;
+  const std::string good = serialize_sim_result(seed);
+  ASSERT_TRUE(round_trips(seed));
+
+  // Every truncation: only the whole text, or the text short of its final
+  // newline, may parse, and then to the original value.
+  for (std::size_t cut = 0; cut <= good.size(); ++cut) {
+    SimResult out;
+    if (parse_sim_result(good.substr(0, cut), out)) {
+      EXPECT_GE(cut + 1, good.size()) << "accepted prefix of " << cut;
+      EXPECT_EQ(serialize_sim_result(out), good) << cut;
+    }
+  }
+
+  std::uint64_t state = 0x452821e638d01377ULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  // Insertions draw half their bytes from the format's own alphabet, so
+  // many mutants stay well formed enough to reach the value parsers.
+  const std::string alphabet = "0123456789abcdefxp+-. \nqn";
+  auto random_byte = [&] {
+    return next() % 2 ? alphabet[next() % alphabet.size()]
+                      : static_cast<char>(next() % 256);
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int round = 0; round < 3000; ++round) {
+    std::string input = good;
+    const int edits = 1 + static_cast<int>(next() % 3);
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = next() % (input.size() + 1);
+      if (round % 2 == 0 && at < input.size())
+        input[at] = static_cast<char>(next() % 256);  // byte flip
+      else
+        input.insert(at, 1, random_byte());  // insertion
+    }
+    SimResult out;
+    if (parse_sim_result(input, out)) {
+      ++accepted;
+      EXPECT_TRUE(round_trips(out)) << "input:\n" << input;
+    } else {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(rejected, 1500);  // the mutations really are hostile
+  EXPECT_GT(accepted, 0);     // and some reach the accept path
 }
 
 TEST(SweepRunner, ResumeRecomputesOnlyMissingOrCorruptCells) {

@@ -15,12 +15,17 @@
 #include <filesystem>
 #include <functional>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "experiments/registry.hpp"
+#include "runtime/thread_pool.hpp"
 #include "service/client.hpp"
 #include "service/json.hpp"
 #include "service/protocol.hpp"
+#include "support/test_dir.hpp"
 
 namespace afs::service {
 namespace {
@@ -398,6 +403,53 @@ TEST_F(DaemonTest, DisconnectCancelsInFlightOthersUnaffected) {
   ASSERT_TRUE(c.send_line(std::string(kFastGrid) + "}"));
   ASSERT_TRUE(ReadTerminal(c, v));
   EXPECT_EQ(EventOf(v), "done") << "code=" << CodeOf(v);
+}
+
+TEST_F(DaemonTest, ConcurrentRunsOfOneFigureShareTheOutDirSafely) {
+  // Two clients ask for the same figure at once: both requests write
+  // <out>/fig04.csv (and its sweep checkpoints) through atomic staging.
+  // Each must finish ok, the CSV must equal a batch run's byte for byte,
+  // and no staging file may be left behind.
+  Start([](DaemonOptions& o) { o.jobs = 2; });
+  constexpr double kTimeout = 300.0;  // sanitizer builds are slow
+  std::vector<JsonValue> done(2);
+  std::vector<bool> got(2, false);
+  std::vector<std::thread> clients;
+  for (int i = 0; i < 2; ++i)
+    clients.emplace_back([&, i] {
+      ServiceClient c;
+      if (!Connect(c)) return;
+      if (!c.send_line("{\"verb\":\"run\",\"ids\":[\"fig04\"],\"tag\":\"c" +
+                       std::to_string(i) + "\"}"))
+        return;
+      got[static_cast<std::size_t>(i)] =
+          ReadTerminal(c, done[static_cast<std::size_t>(i)], kTimeout);
+    });
+  for (std::thread& t : clients) t.join();
+  for (std::size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(got[i]) << "client " << i << " got no terminal event";
+    ASSERT_EQ(EventOf(done[i]), "done") << "code=" << CodeOf(done[i]);
+    ASSERT_NE(done[i].find("ok"), nullptr);
+    EXPECT_TRUE(done[i].find("ok")->boolean) << "client " << i;
+  }
+
+  const TestDir batch;
+  ThreadPool pool(2);
+  ExperimentContext ctx;
+  ctx.cli.out_dir = batch.str();
+  ctx.cli.jobs = 2;
+  ctx.pool = &pool;
+  std::ostringstream log;
+  ASSERT_EQ(run_experiment(*find_experiment("fig04"), ctx, log), 0);
+  const std::string want = read_file(batch / "fig04.csv");
+  ASSERT_FALSE(want.empty());
+  EXPECT_EQ(read_file(daemon_->options().out_dir + "/fig04.csv"), want);
+
+  for (const auto& entry : std::filesystem::recursive_directory_iterator(
+           daemon_->options().out_dir))
+    EXPECT_EQ(entry.path().filename().string().find(".tmp."),
+              std::string::npos)
+        << "staging file left behind: " << entry.path();
 }
 
 }  // namespace
