@@ -6,8 +6,7 @@
 //
 //   --procs=1,2,4     override the processor sweep (figures only)
 //   --out-dir=DIR     write CSVs (and traces) under DIR [bench_results]
-//   --trace           also write an event trace per (scheduler, P) cell
-//   --trace-format=F  trace encoding: jsonl | binary (implies --trace)
+//   --trace           also write a .cctrace per (scheduler, P) cell
 //   --jobs=N          run (scheduler, P) cells on N threads [1]
 //   --resume          reload finished cells from the sweep checkpoint
 //   --cell-timeout=S  wall-clock deadline (seconds) per cell attempt
@@ -29,7 +28,6 @@
 #include <vector>
 
 #include "runtime/sweep_runner.hpp"
-#include "trace/trace_record.hpp"
 
 namespace afs::bench {
 
@@ -39,9 +37,8 @@ namespace afs::bench {
 struct BenchCli {
   std::vector<int> procs;                 ///< empty = the figure's own sweep
   std::string out_dir = "bench_results";  ///< CSV / trace destination
-  bool trace = false;  ///< write one trace per (scheduler, P) cell under
-                       ///< <out_dir> (see trace_cell_path)
-  TraceFormat trace_format = TraceFormat::kJsonl;  ///< encoding when tracing
+  bool trace = false;  ///< write one .cctrace per (scheduler, P) cell
+                       ///< under <out_dir> (see trace_cell_path)
   bool time_phases = false;  ///< collect engine phase timers; write
                              ///< <out_dir>/<id>.phases.json
   bool no_batch = false;     ///< A/B: disable iteration batching
@@ -68,7 +65,7 @@ struct BenchCli {
 
 inline void print_usage(const char* argv0, std::ostream& out) {
   out << "usage: " << argv0
-      << " [--procs=1,2,4] [--out-dir=DIR] [--trace] [--trace-format=F]\n"
+      << " [--procs=1,2,4] [--out-dir=DIR] [--trace]\n"
       << "       [--time-phases] [--no-batch] [--no-memory-fast-path]\n"
       << "       [--no-calendar-queue] [--no-epoch-batch]\n"
       << "       [--jobs=N] [--resume] [--cell-timeout=S] [--sweep-timeout=S]\n"
@@ -77,12 +74,11 @@ inline void print_usage(const char* argv0, std::ostream& out) {
       << "                 figure's standard sweep\n"
       << "  --out-dir=DIR  directory for CSV output (default bench_results)\n"
       << "  --trace        also stream an event trace per (scheduler, P)\n"
-      << "                 cell to <out-dir>/<id>.p<P>.<scheduler>.*\n"
-      << "                 (see docs/SIMULATOR.md, \"Trace schema\");\n"
-      << "                 composes with --jobs/--resume\n"
-      << "  --trace-format=F  trace encoding: jsonl (default) or binary\n"
-      << "                 (.cctrace, ~10x smaller; implies --trace; render\n"
-      << "                 either with tools/trace_report)\n"
+      << "                 cell to <out-dir>/<id>.p<P>.<scheduler>.cctrace\n"
+      << "                 (see docs/SIMULATOR.md, \"Traces\");\n"
+      << "                 composes with --jobs/--resume; analyze with\n"
+      << "                 tools/trace_report, export JSON with its\n"
+      << "                 --dump-jsonl\n"
       << "  --time-phases  collect the engine's host wall-clock phase\n"
       << "                 breakdown and write <out-dir>/<id>.phases.json\n"
       << "                 (simulated results stay bit-identical; see\n"
@@ -147,18 +143,6 @@ inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
       return true;
     } else if (arg == "--trace") {
       cli.trace = true;
-    } else if (arg.rfind("--trace-format=", 0) == 0) {
-      const std::string tok = arg.substr(15);
-      if (tok == "jsonl") {
-        cli.trace_format = TraceFormat::kJsonl;
-      } else if (tok == "binary") {
-        cli.trace_format = TraceFormat::kBinary;
-      } else {
-        error = "bad --trace-format value '" + tok +
-                "' (need jsonl or binary)";
-        return false;
-      }
-      cli.trace = true;  // choosing an encoding is asking for a trace
     } else if (arg == "--time-phases") {
       cli.time_phases = true;
     } else if (arg == "--no-batch") {

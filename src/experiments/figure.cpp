@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "sched/registry.hpp"
-#include "sim/trace_sink.hpp"
 #include "store/cell_key.hpp"
 #include "store/result_store.hpp"
 #include "trace/binary_sink.hpp"
@@ -155,10 +154,10 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
     result.serial_time = sim.ideal_serial_time(spec.program);
   }
 
-  if (spec.trace_format != TraceFormat::kNone) {
+  if (spec.trace) {
     std::filesystem::create_directories(spec.out_dir);
     out << "(tracing per cell to " << spec.out_dir << "/" << spec.id
-        << ".p<P>.<scheduler>" << trace_extension(spec.trace_format) << ")\n";
+        << ".p<P>.<scheduler>.cctrace)\n";
   }
 
   // One sweep cell per (scheduler, P): a fresh simulator and scheduler per
@@ -180,14 +179,10 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
              // parallel sweeps; the trace is published atomically only
              // when the cell completes (a failed or cancelled attempt
              // leaves no partial file, and a retry starts clean).
-             std::unique_ptr<FileTraceSink> trace;
-             if (spec.trace_format != TraceFormat::kNone) {
-               const std::string path = trace_cell_path(
-                   spec.out_dir, spec.id, se.label, p, spec.trace_format);
-               if (spec.trace_format == TraceFormat::kBinary)
-                 trace = std::make_unique<BinaryTraceSink>(path);
-               else
-                 trace = std::make_unique<JsonlTraceSink>(path);
+             std::unique_ptr<BinaryTraceSink> trace;
+             if (spec.trace) {
+               trace = std::make_unique<BinaryTraceSink>(
+                   trace_cell_path(spec.out_dir, spec.id, se.label, p));
                options.trace = trace.get();
              }
              // Consult the store first (traced/timed cells key as

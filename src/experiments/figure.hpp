@@ -18,7 +18,6 @@
 #include "runtime/sweep_runner.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/machine_sim.hpp"
-#include "trace/trace_record.hpp"
 #include "util/table.hpp"
 #include "workload/loop_spec.hpp"
 
@@ -58,14 +57,14 @@ struct FigureSpec {
   std::vector<SchedulerEntry> schedulers;
   SimOptions sim_options;
   std::string out_dir = "bench_results";  ///< where <id>.csv lands
-  /// kNone (default): no event tracing. Otherwise every (scheduler, P)
-  /// sweep cell streams its own trace to
-  /// trace_cell_path(out_dir, id, label, P, trace_format), finalized
+  /// False (default): no event tracing. Otherwise every (scheduler, P)
+  /// sweep cell streams its own .cctrace to
+  /// trace_cell_path(out_dir, id, label, P), finalized
   /// atomically when the cell completes and discarded when it fails —
   /// so tracing composes with parallel (--jobs=N) and resumed sweeps:
   /// cells never share a writer, and a resumed cell's already-published
   /// trace is left untouched.
-  TraceFormat trace_format = TraceFormat::kNone;
+  bool trace = false;
   /// Optional content-addressed result store (not owned). When set, each
   /// cacheable (scheduler, P) cell — program and scheduler both carry
   /// store keys, and the run is neither traced nor host-timed — is first

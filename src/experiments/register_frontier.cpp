@@ -61,7 +61,7 @@ SimResult run_traced_cell(const ExperimentContext& ctx,
 
   const std::string path =
       trace_cell_path(out_dir, "frontier_tradeoff", program.key + "." + spec,
-                      procs, TraceFormat::kBinary);
+                      procs);
   SimResult r;
   {
     BinaryTraceSink sink(path);

@@ -24,7 +24,7 @@ namespace {
 /// precomputed activity trace. Its store key is sound because the program
 /// key embeds a content hash of the same graph the trace derives from.
 SchedulerEntry tc_best_static(
-    std::shared_ptr<std::vector<std::vector<std::uint8_t>>> trace,
+    std::shared_ptr<const TransitiveClosureKernel::ActiveTrace> trace,
     std::int64_t n) {
   return entry("BEST-STATIC", "BEST-STATIC@tc-trace", [trace, n] {
     return std::make_unique<BestStaticScheduler>(
@@ -111,14 +111,14 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
       [] {
         const auto graph = random_graph(512, 0.08, 1992);
         const auto trace =
-            std::make_shared<std::vector<std::vector<std::uint8_t>>>(
+            std::make_shared<const TransitiveClosureKernel::ActiveTrace>(
                 TransitiveClosureKernel::active_trace(graph));
         FigureSpec spec;
         spec.id = "fig05";
         spec.title =
             "Transitive closure on the Iris (random 512-node graph, 8% edges)";
         spec.machine = iris();
-        spec.program = TransitiveClosureKernel::program(graph);
+        spec.program = TransitiveClosureKernel::program(graph, trace);
         spec.procs = iris_procs();
         spec.schedulers = iris_schedulers();
         // BEST-STATIC's oracle knows the input: per-epoch costs from the
@@ -146,14 +146,14 @@ void register_iris_experiments(std::vector<Experiment>& experiments) {
       [] {
         const auto graph = clique_graph(640, 320);
         const auto trace =
-            std::make_shared<std::vector<std::vector<std::uint8_t>>>(
+            std::make_shared<const TransitiveClosureKernel::ActiveTrace>(
                 TransitiveClosureKernel::active_trace(graph));
         FigureSpec spec;
         spec.id = "fig06";
         spec.title =
             "Transitive closure on the Iris (640 nodes, 320-node clique)";
         spec.machine = iris();
-        spec.program = TransitiveClosureKernel::program(graph);
+        spec.program = TransitiveClosureKernel::program(graph, trace);
         spec.procs = iris_procs();
         spec.schedulers = iris_schedulers();
         spec.schedulers.back() = tc_best_static(trace, graph.rows());

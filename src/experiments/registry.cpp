@@ -74,7 +74,7 @@ Experiment figure_experiment(
     // Tracing is per sweep cell (each cell constructs, finalizes, or
     // abandons its own sink inside run_figure), which is what lets
     // --trace compose with --jobs=N and --resume.
-    if (cli.trace) spec.trace_format = cli.trace_format;
+    spec.trace = cli.trace;
     spec.store = ctx.store;
     // Out-of-process isolation: registered figures are rebuildable from
     // their id (grids arrive with the recipe pre-filled by

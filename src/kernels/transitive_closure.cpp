@@ -59,12 +59,11 @@ std::int64_t TransitiveClosureKernel::reachable_pairs() const {
 }
 
 // Runs once per sandboxed cell: a worker rebuilds the FigureSpec per cell.
-std::vector<std::vector<std::uint8_t>> TransitiveClosureKernel::active_trace(
+TransitiveClosureKernel::ActiveTrace TransitiveClosureKernel::active_trace(
     BoolMatrix graph) {
   const std::int64_t n = graph.rows();
-  std::vector<std::vector<std::uint8_t>> active(
-      static_cast<std::size_t>(n),
-      std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0));
+  ActiveTrace active(static_cast<std::size_t>(n),
+                     std::vector<std::uint8_t>(static_cast<std::size_t>(n), 0));
   for (std::int64_t k = 0; k < n; ++k) {
     for (std::int64_t j = 0; j < n; ++j)
       active[static_cast<std::size_t>(k)][static_cast<std::size_t>(j)] =
@@ -76,12 +75,19 @@ std::vector<std::vector<std::uint8_t>> TransitiveClosureKernel::active_trace(
 
 LoopProgram TransitiveClosureKernel::program(const BoolMatrix& graph,
                                              double work_per_element) {
+  return program(graph,
+                 std::make_shared<const ActiveTrace>(active_trace(graph)),
+                 work_per_element);
+}
+
+LoopProgram TransitiveClosureKernel::program(
+    const BoolMatrix& graph, std::shared_ptr<const ActiveTrace> trace,
+    double work_per_element) {
   const std::int64_t n = graph.rows();
+  AFS_CHECK(trace != nullptr && static_cast<std::int64_t>(trace->size()) == n);
   // A boolean row moves far fewer bytes than a double row: with 2-byte
   // logicals, n entries = n/4 transfer units (one unit = 8 bytes).
   const double row_units = static_cast<double>(n) / 4.0;
-  auto trace = std::make_shared<std::vector<std::vector<std::uint8_t>>>(
-      active_trace(graph));
 
   LoopProgram p;
   p.name = "tc-" + std::to_string(n);

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "runtime/parallel_for.hpp"
@@ -25,6 +26,9 @@ namespace afs {
 
 class TransitiveClosureKernel {
  public:
+  /// active[k][j] != 0 when edge (J,K) is present as epoch K starts.
+  using ActiveTrace = std::vector<std::vector<std::uint8_t>>;
+
   explicit TransitiveClosureKernel(BoolMatrix graph);
 
   void run_serial();
@@ -41,9 +45,17 @@ class TransitiveClosureKernel {
   static LoopProgram program(const BoolMatrix& graph,
                              double work_per_element = 2.0);
 
+  /// The same program over a trace the caller already holds (it must be
+  /// active_trace(graph)), so a spec that also feeds the trace to the
+  /// BEST-STATIC oracle runs Warshall once instead of twice. The program
+  /// key still hashes `graph`, so it equals the one-argument overload's.
+  static LoopProgram program(const BoolMatrix& graph,
+                             std::shared_ptr<const ActiveTrace> trace,
+                             double work_per_element = 2.0);
+
   /// Oracle per-iteration costs for BEST-STATIC at epoch k, from the same
   /// trace machinery.
-  static std::vector<std::vector<std::uint8_t>> active_trace(BoolMatrix graph);
+  static ActiveTrace active_trace(BoolMatrix graph);
 
  private:
   std::int64_t n_;

@@ -242,6 +242,10 @@ bool parse_sim_result(const std::string& text, SimResult& out) {
       return false;
     }
   }
+  // Accept only the serializer's own text. The field parsers above skip
+  // leading blanks and stop at trailing bytes on a q-line, so a damaged
+  // line could otherwise decode to a value its bytes do not spell.
+  if (serialize_sim_result(r) != text) return false;
 
   out = r;
   return true;

@@ -135,8 +135,10 @@ double retry_backoff(const SweepOptions& opts, const std::string& label,
 
 /// Exact text serialization of a SimResult (hexfloat doubles, decimal
 /// integers, trailing end marker). parse_sim_result round-trips it
-/// bit-identically; it returns false on any truncation, unknown schema or
-/// malformed field, which resume treats as "recompute this cell".
+/// bit-identically and accepts nothing else: it returns false on any
+/// truncation, unknown schema, malformed field or text that differs from
+/// what serialize_sim_result writes, which resume treats as "recompute
+/// this cell".
 std::string serialize_sim_result(const SimResult& r);
 bool parse_sim_result(const std::string& text, SimResult& out);
 

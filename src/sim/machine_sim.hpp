@@ -13,7 +13,8 @@
 //                                    per GrabKind;
 //   MetricsSink  (metrics.hpp)       the accumulator producing SimResult,
 //                                    plus opt-in trace sinks
-//                                    (trace_sink.hpp) — zero-cost when
+//                                    (trace/binary_sink.hpp) — zero-cost
+//                                    when
 //                                    disabled.
 //
 // One run is one fork/join execution: per epoch, every processor
@@ -110,8 +111,8 @@ struct SimOptions {
   bool time_phases = false;
 
   /// Optional trace observer (not owned; must outlive the simulator).
-  /// Every simulated event is narrated into it — see trace_sink.hpp for
-  /// the standard JSONL implementation. Null: tracing disabled, no cost.
+  /// Every simulated event is narrated into it — see trace/binary_sink.hpp
+  /// for the .cctrace writer. Null: tracing disabled, no cost.
   MetricsSink* trace = nullptr;
 
   /// Optional cooperative cancellation token (not owned; must outlive the

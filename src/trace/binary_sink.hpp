@@ -1,11 +1,11 @@
-// BinaryTraceSink: the compact .cctrace encoding of the simulator's
-// event stream — a drop-in alternative to JsonlTraceSink carrying the
-// exact same record semantics (TraceReader decodes both formats into
-// identical TraceRecord sequences; tests/trace/trace_equivalence_test.cpp
-// asserts this property).
+// BinaryTraceSink: the .cctrace encoding of the simulator's event stream,
+// the repository's one trace format. TraceReader decodes a file back into
+// TraceRecords equal, field for field, to the narrated events
+// (tests/trace/trace_equivalence_test.cpp asserts this property), and
+// trace/json_export.hpp turns them into JSON for scripts.
 //
-// Format (version 1; full spec in docs/SIMULATOR.md, "Binary trace
-// format"):
+// Format (version 1; full spec in docs/SIMULATOR.md, "The .cctrace
+// binary format"):
 //
 //   header   'C' 'C' 'T' 'R'  version=0x01  3 reserved zero bytes
 //   records  opcode byte, then opcode-specific fields:
@@ -21,7 +21,8 @@
 //                Simulated time advances smoothly, so consecutive bit
 //                patterns share sign/exponent/upper-mantissa bits and the
 //                XOR is a small integer — typically 3-6 bytes instead of
-//                the ~18 characters JSONL spends, and exactly lossless;
+//                the ~18 characters a decimal print spends, and exactly
+//                lossless;
 //   * value    — same XOR-chain scheme with a second register, used for
 //                the non-monotone doubles (miss sizes, barrier costs),
 //                which repeat heavily (XOR = 0 encodes in one byte).
@@ -33,8 +34,12 @@
 // runs within one file.
 //
 // File output streams to `<path>.tmp` and is published atomically by
-// finalize() via the shared fsync+rename protocol, exactly like the JSONL
-// sink; abandon() discards the temp file instead.
+// finalize() via the shared fsync+rename protocol (util/atomic_file.hpp),
+// so a crash mid-trace never leaves a truncated file under the advertised
+// name. The sweep harness writes one sink per (scheduler, P) cell —
+// finalize() on success, abandon() on failure — so parallel cells never
+// interleave records, a failed cell never publishes a partial trace, and
+// a resumed sweep never truncates a completed one.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +48,12 @@
 #include <ostream>
 #include <string>
 
-#include "sim/trace_sink.hpp"
+#include "sim/metrics.hpp"
 #include "trace/trace_record.hpp"
 
 namespace afs {
 
-class BinaryTraceSink final : public FileTraceSink {
+class BinaryTraceSink final : public MetricsSink {
  public:
   /// Magic + version prefix: "CCTR", version byte, three reserved zeros.
   static constexpr unsigned char kMagic[8] = {'C', 'C', 'T', 'R',
@@ -63,8 +68,18 @@ class BinaryTraceSink final : public FileTraceSink {
   /// opened; parent directories are not created.
   explicit BinaryTraceSink(const std::string& path);
 
-  void finalize() override;
-  void abandon() override;
+  /// Flushes buffered records. Path mode also fsyncs and renames the
+  /// temp file onto the final path. Idempotent; called by the destructor
+  /// if not already (the destructor swallows publication errors — call
+  /// explicitly to see them).
+  void finalize();
+
+  /// Path mode only: closes and unlinks the temp file; the final path is
+  /// never created (or, on a re-run, keeps its previous complete
+  /// contents). Idempotent; finalize() afterwards is a no-op. Never
+  /// throws, so it is safe in catch blocks. No-op for the ostream
+  /// constructor.
+  void abandon();
 
   ~BinaryTraceSink() override;
 

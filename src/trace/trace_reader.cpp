@@ -2,8 +2,6 @@
 
 #include "trace/binary_sink.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <utility>
@@ -16,129 +14,16 @@ std::uint64_t u64_of_bits(std::uint64_t b, double& out) {
   return b;
 }
 
-bool grab_kind_of(const std::string& s, GrabKind& out) {
-  if (s == "none") out = GrabKind::kNone;
-  else if (s == "central") out = GrabKind::kCentral;
-  else if (s == "local") out = GrabKind::kLocal;
-  else if (s == "remote") out = GrabKind::kRemote;
-  else if (s == "static") out = GrabKind::kStatic;
-  else return false;
-  return true;
-}
-
-/// One parsed member of a flat JSON object.
-struct JsonField {
-  std::string key;
-  std::string value;  // unescaped string, or the raw number token
-  bool is_string = false;
-};
-
-/// Minimal parser for the flat objects the JSONL sink emits: string keys,
-/// string or number values, no nesting. Returns false on malformed input.
-bool parse_flat_object(const std::string& line, std::vector<JsonField>& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto skip_ws = [&] {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  };
-  const auto parse_string = [&](std::string& s) {
-    s.clear();
-    if (i >= line.size() || line[i] != '"') return false;
-    ++i;
-    while (i < line.size() && line[i] != '"') {
-      char c = line[i++];
-      if (c == '\\') {
-        if (i >= line.size()) return false;
-        const char e = line[i++];
-        switch (e) {
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'b': c = '\b'; break;
-          case 'f': c = '\f'; break;
-          case 'u': {
-            if (i + 4 > line.size()) return false;
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-              const char h = line[i++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else return false;
-            }
-            // The sink only \u-escapes control bytes (< 0x20).
-            if (v > 0xff) return false;
-            c = static_cast<char>(v);
-            break;
-          }
-          default: return false;
-        }
-      }
-      s.push_back(c);
-    }
-    if (i >= line.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= line.size() || line[i] != '{') return false;
-  ++i;
-  skip_ws();
-  if (i < line.size() && line[i] == '}') return true;  // empty object
-  for (;;) {
-    JsonField f;
-    skip_ws();
-    if (!parse_string(f.key)) return false;
-    skip_ws();
-    if (i >= line.size() || line[i] != ':') return false;
-    ++i;
-    skip_ws();
-    if (i < line.size() && line[i] == '"') {
-      f.is_string = true;
-      if (!parse_string(f.value)) return false;
-    } else {
-      const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}') ++i;
-      f.value = line.substr(start, i - start);
-      while (!f.value.empty() && (f.value.back() == ' ' || f.value.back() == '\t'))
-        f.value.pop_back();
-      if (f.value.empty()) return false;
-    }
-    out.push_back(std::move(f));
-    skip_ws();
-    if (i >= line.size()) return false;
-    if (line[i] == '}') {
-      ++i;
-      skip_ws();
-      return i == line.size();  // no trailing garbage
-    }
-    if (line[i] != ',') return false;
-    ++i;
-  }
-}
-
-const JsonField* find(const std::vector<JsonField>& fields,
-                      const char* key) {
-  for (const JsonField& f : fields)
-    if (f.key == key) return &f;
-  return nullptr;
-}
-
 }  // namespace
 
 TraceReader::TraceReader(const std::string& path)
     : file_(path, std::ios::binary), in_(&file_), context_(path) {
   if (!file_) throw std::runtime_error("cannot open trace: " + path);
-  sniff();
+  read_header();
 }
 
 TraceReader::TraceReader(std::istream& in) : in_(&in), context_("<stream>") {
-  sniff();
+  read_header();
 }
 
 void TraceReader::fail(const std::string& what) const {
@@ -146,13 +31,8 @@ void TraceReader::fail(const std::string& what) const {
                            std::to_string(records_) + "): " + what);
 }
 
-void TraceReader::sniff() {
-  const int first = in_->peek();
-  if (first == std::istream::traits_type::eof()) fail("empty trace");
-  if (first == '{') {
-    format_ = TraceFormat::kJsonl;
-    return;
-  }
+void TraceReader::read_header() {
+  if (in_->peek() == std::istream::traits_type::eof()) fail("empty trace");
   unsigned char header[sizeof BinaryTraceSink::kMagic];
   in_->read(reinterpret_cast<char*>(header), sizeof header);
   if (static_cast<std::size_t>(in_->gcount()) != sizeof header ||
@@ -160,12 +40,6 @@ void TraceReader::sniff() {
     fail("not a trace: bad magic");
   if (header[4] != BinaryTraceSink::kMagic[4])
     fail("unsupported .cctrace version " + std::to_string(header[4]));
-  format_ = TraceFormat::kBinary;
-}
-
-bool TraceReader::next(TraceRecord& rec) {
-  rec = TraceRecord{};
-  return format_ == TraceFormat::kBinary ? next_binary(rec) : next_jsonl(rec);
 }
 
 std::uint8_t TraceReader::read_u8() {
@@ -206,7 +80,8 @@ double TraceReader::read_value() {
   return out;
 }
 
-bool TraceReader::next_binary(TraceRecord& rec) {
+bool TraceReader::next(TraceRecord& rec) {
+  rec = TraceRecord{};
   for (bool after_definition = false;; after_definition = true) {
     const int c = in_->get();
     if (c == std::istream::traits_type::eof()) {
@@ -319,123 +194,6 @@ bool TraceReader::next_binary(TraceRecord& rec) {
     case TraceEv::kRunEnd:
       rec.t0 = read_time();
       break;
-  }
-  ++records_;
-  return true;
-}
-
-bool TraceReader::next_jsonl(TraceRecord& rec) {
-  std::string line;
-  do {
-    if (!std::getline(*in_, line)) return false;  // clean end
-  } while (line.empty());
-
-  std::vector<JsonField> fields;
-  if (!parse_flat_object(line, fields)) fail("unparsable JSON line: " + line);
-
-  const auto str = [&](const char* key) -> const std::string& {
-    const JsonField* f = find(fields, key);
-    if (!f || !f->is_string) fail(std::string("missing string field ") + key);
-    return f->value;
-  };
-  const auto num = [&](const char* key) {
-    const JsonField* f = find(fields, key);
-    if (!f || f->is_string) fail(std::string("missing number field ") + key);
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(f->value.c_str(), &end);
-    if (end == f->value.c_str() || *end != '\0' || errno == ERANGE)
-      fail(std::string("bad number in field ") + key + ": " + f->value);
-    return v;
-  };
-  const auto integer = [&](const char* key) {
-    const JsonField* f = find(fields, key);
-    if (!f || f->is_string) fail(std::string("missing number field ") + key);
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(f->value.c_str(), &end, 10);
-    if (end == f->value.c_str() || *end != '\0' || errno == ERANGE)
-      fail(std::string("bad integer in field ") + key + ": " + f->value);
-    return static_cast<std::int64_t>(v);
-  };
-
-  const std::string& ev = str("ev");
-  if (ev == "run_begin") {
-    rec.ev = TraceEv::kRunBegin;
-    rec.machine = str("machine");
-    rec.program = str("program");
-    rec.scheduler = str("scheduler");
-    rec.p = static_cast<int>(integer("p"));
-  } else if (ev == "loop_begin") {
-    rec.ev = TraceEv::kLoopBegin;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.n = integer("n");
-    rec.p = static_cast<int>(integer("p"));
-  } else if (ev == "grab") {
-    rec.ev = TraceEv::kGrab;
-    rec.proc = static_cast<int>(integer("proc"));
-    if (!grab_kind_of(str("kind"), rec.kind)) fail("unknown grab kind");
-    rec.queue = static_cast<int>(integer("queue"));
-    rec.begin = integer("begin");
-    rec.end = integer("end");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "chunk") {
-    rec.ev = TraceEv::kChunk;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.begin = integer("begin");
-    rec.end = integer("end");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "miss") {
-    rec.ev = TraceEv::kMiss;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.block = integer("block");
-    rec.size = num("size");
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "inval") {
-    rec.ev = TraceEv::kInval;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.block = integer("block");
-    rec.copies = static_cast<int>(integer("copies"));
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "done") {
-    rec.ev = TraceEv::kDone;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t");
-  } else if (ev == "stall") {
-    rec.ev = TraceEv::kStall;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t0");
-    rec.t1 = num("t1");
-  } else if (ev == "lost") {
-    rec.ev = TraceEv::kLost;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.t0 = num("t");
-  } else if (ev == "fault_steal") {
-    rec.ev = TraceEv::kFaultSteal;
-    rec.proc = static_cast<int>(integer("proc"));
-    rec.queue = static_cast<int>(integer("queue"));
-    rec.n = integer("iters");
-  } else if (ev == "abandoned") {
-    rec.ev = TraceEv::kAbandoned;
-    rec.n = integer("iters");
-  } else if (ev == "loop_end") {
-    rec.ev = TraceEv::kLoopEnd;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.t0 = num("end");
-  } else if (ev == "barrier") {
-    rec.ev = TraceEv::kBarrier;
-    rec.epoch = static_cast<int>(integer("epoch"));
-    rec.size = num("cost");
-    rec.t0 = num("total");
-  } else if (ev == "run_end") {
-    rec.ev = TraceEv::kRunEnd;
-    rec.t0 = num("makespan");
-  } else {
-    fail("unknown ev \"" + ev + "\"");
   }
   ++records_;
   return true;

@@ -2,7 +2,7 @@
 //
 // A file written in place can be left truncated by a crash, an OOM kill or
 // a Ctrl-C between open() and the final flush. Every durable artifact in
-// this repository (CSV tables, sweep checkpoints, JSONL traces) therefore
+// this repository (CSV tables, sweep checkpoints, .cctrace traces) therefore
 // goes through the same protocol: write the full content to a temp file
 // beside it, fsync the data, rename(2) over the final name, and fsync the
 // directory so the rename itself survives a power cut. Readers either see
@@ -29,7 +29,7 @@ void write_file_atomic(const std::string& path, const std::string& content);
 
 /// Publishes an already-written temp file: fsyncs `tmp_path`, renames it
 /// to `final_path`, fsyncs the parent directory. Used by streaming writers
-/// (e.g. the JSONL trace sink) that cannot buffer their whole output.
+/// (e.g. the .cctrace sink) that cannot buffer their whole output.
 /// Throws std::runtime_error on failure, leaving `tmp_path` in place.
 void commit_file_atomic(const std::string& tmp_path,
                         const std::string& final_path);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "experiments/bench_cli.hpp"
+#include "trace/trace_record.hpp"
 
 namespace afs::bench {
 namespace {
@@ -195,38 +196,24 @@ TEST(BenchCli, TraceComposesWithParallelJobs) {
   ASSERT_TRUE(p.ok) << p.error;
   EXPECT_TRUE(p.cli.trace);
   EXPECT_EQ(p.cli.jobs, 4);
-  EXPECT_EQ(p.cli.trace_format, TraceFormat::kJsonl);
 }
 
-TEST(BenchCli, ParsesTraceFormat) {
-  EXPECT_EQ(parse({"--trace", "--trace-format=binary"}).cli.trace_format,
-            TraceFormat::kBinary);
-  EXPECT_EQ(parse({"--trace-format=jsonl"}).cli.trace_format,
-            TraceFormat::kJsonl);
-  // Choosing an encoding is asking for a trace.
-  const Parse p = parse({"--trace-format=binary"});
-  ASSERT_TRUE(p.ok);
-  EXPECT_TRUE(p.cli.trace);
-  EXPECT_EQ(p.cli.trace_format, TraceFormat::kBinary);
-}
-
-TEST(BenchCli, RejectsMalformedTraceFormat) {
-  for (const char* bad :
-       {"--trace-format=", "--trace-format=csv", "--trace-format=BINARY"}) {
-    const Parse p = parse({bad});
-    EXPECT_FALSE(p.ok) << bad;
-    EXPECT_NE(p.error.find("--trace-format"), std::string::npos)
-        << bad << " -> " << p.error;
+TEST(BenchCli, RejectsTheRemovedTraceFormatFlag) {
+  // .cctrace is the only trace encoding (JSON is a trace_report export),
+  // so the former encoding switch is an unknown flag, not a silent no-op.
+  for (const char* gone : {"--trace-format=binary", "--trace-format=jsonl"}) {
+    const Parse p = parse({gone});
+    EXPECT_FALSE(p.ok) << gone;
+    EXPECT_NE(p.error.find("unknown argument"), std::string::npos)
+        << gone << " -> " << p.error;
   }
 }
 
 TEST(BenchCli, TraceCellPathSanitizesLabel) {
-  EXPECT_EQ(trace_cell_path("/tmp/out", "fig15", "CHUNK(8)", 4,
-                            TraceFormat::kBinary),
+  EXPECT_EQ(trace_cell_path("/tmp/out", "fig15", "CHUNK(8)", 4),
             "/tmp/out/fig15.p4.CHUNK_8_.cctrace");
-  EXPECT_EQ(
-      trace_cell_path("out", "fig04", "AFS", 57, TraceFormat::kJsonl),
-      "out/fig04.p57.AFS.trace.jsonl");
+  EXPECT_EQ(trace_cell_path("out", "fig04", "AFS", 57),
+            "out/fig04.p57.AFS.cctrace");
 }
 
 TEST(BenchCli, DefaultsLeaveStoreOff) {

@@ -23,7 +23,8 @@
 #include "machines/machines.hpp"
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
-#include "sim/trace_sink.hpp"
+#include "trace/binary_sink.hpp"
+#include "trace/trace_reader.hpp"
 #include "util/check.hpp"
 
 namespace afs {
@@ -329,9 +330,9 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
   PerturbationConfig pc;
   pc.losses.push_back({0, 0.3 * plain.makespan});  // lands mid-allotment
 
-  auto traced = [&](bool batch, std::string* text) {
+  auto traced = [&](bool batch, std::string* bytes) {
     std::ostringstream out;
-    JsonlTraceSink sink(out);
+    BinaryTraceSink sink(out);
     SimOptions opts;
     opts.perturb = pc;
     opts.batch_iterations = batch;
@@ -339,7 +340,8 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
     MachineSim sim(quiet(iris()), opts);
     auto sched = make_scheduler("STATIC");
     const SimResult r = sim.run(prog, *sched, 4);
-    *text = out.str();
+    sink.finalize();
+    *bytes = out.str();
     return r;
   };
 
@@ -358,19 +360,12 @@ TEST(Perturbation, MidChunkDeathEmitsTruncatedChunkRecord) {
   // it the narrated side comes up short by exactly those iterations).
   std::int64_t narrated = 0, total_n = 0;
   std::istringstream in(batched_trace);
-  for (std::string line; std::getline(in, line);) {
-    if (line.find("\"ev\":\"chunk\"") != std::string::npos) {
-      const auto bpos = line.find("\"begin\":");
-      const auto epos = line.find("\"end\":");
-      ASSERT_NE(bpos, std::string::npos) << line;
-      ASSERT_NE(epos, std::string::npos) << line;
-      narrated += std::stoll(line.substr(epos + 6)) -
-                  std::stoll(line.substr(bpos + 8));
-    } else if (line.find("\"ev\":\"loop_begin\"") != std::string::npos) {
-      const auto npos = line.find("\"n\":");
-      ASSERT_NE(npos, std::string::npos) << line;
-      total_n += std::stoll(line.substr(npos + 4));
-    }
+  TraceReader reader(in);
+  for (TraceRecord rec; reader.next(rec);) {
+    if (rec.ev == TraceEv::kChunk)
+      narrated += rec.end - rec.begin;
+    else if (rec.ev == TraceEv::kLoopBegin)
+      total_n += rec.n;
   }
   EXPECT_EQ(narrated + a.abandoned_iterations, total_n);
   // SimResult::iterations counts *grabbed* work, so it exceeds the

@@ -10,7 +10,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "kernels/gauss.hpp"
@@ -511,6 +514,119 @@ TEST(ResultStore, GcByAgeEvictsStaleEntries) {
   SimResult out;
   EXPECT_FALSE(store.load(stale, out));
   EXPECT_TRUE(store.load(live, out));
+}
+
+
+/// Deterministic hostile-input loop over one saved entry (fixed-seed
+/// xorshift, like the SweepRunner hostile-input test of parse_sim_result):
+/// every truncation, then 3000 rounds of 1-3 byte flips or insertions.
+/// Every load must return (no crash, no throw); `check_hit` judges each
+/// mutant the store served. After each miss, a recompute-and-save must
+/// serve the original result again. Returns {hits on mutants, misses}.
+template <typename CheckHit>
+std::pair<int, int> hostile_loads(ResultStore& store, const CellKey& key,
+                                  const SimResult& r, const std::string& good,
+                                  CheckHit check_hit) {
+  const std::string path = store.entry_path(key);
+  const std::string want = serialize_sim_result(r);
+  int mutant_hits = 0;
+  int misses = 0;
+  const auto try_load = [&](const std::string& bytes) {
+    {
+      std::ofstream f(path, std::ios::binary | std::ios::trunc);
+      f << bytes;
+    }
+    SimResult out;
+    if (store.load(key, out)) {
+      if (bytes != good) ++mutant_hits;
+      check_hit(bytes, out);
+      return;
+    }
+    ++misses;
+    store.save(key, r);  // the recompute after a miss
+    SimResult again;
+    ASSERT_TRUE(store.load(key, again));
+    EXPECT_EQ(serialize_sim_result(again), want);
+  };
+
+  for (std::size_t cut = 0; cut < good.size(); ++cut)
+    try_load(good.substr(0, cut));
+
+  std::uint64_t state = 0x243f6a8885a308d3ULL;
+  auto next = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  // Half the inserted bytes come from the entry's own alphabet, so many
+  // mutants stay well formed enough to reach the payload parser.
+  const std::string alphabet = "0123456789abcdefxp+-. \nqn";
+  for (int round = 0; round < 3000; ++round) {
+    std::string input = good;
+    const int edits = 1 + static_cast<int>(next() % 3);
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = next() % (input.size() + 1);
+      if (round % 2 == 0 && at < input.size())
+        input[at] = static_cast<char>(next() % 256);  // byte flip
+      else
+        input.insert(at, 1,
+                     next() % 2 ? alphabet[next() % alphabet.size()]
+                                : static_cast<char>(next() % 256));
+    }
+    try_load(input);
+  }
+  return {mutant_hits, misses};
+}
+
+TEST(ResultStore, HostileV2EntriesMissOrHitOnUnchangedBytes) {
+  ResultStore store(fresh_dir("rs_hostile_v2"));
+  const CellKey key = key_for();
+  const SimResult r = simulate();
+  store.save(key, r);
+  std::ifstream in(store.entry_path(key), std::ios::binary);
+  const std::string good{std::istreambuf_iterator<char>(in),
+                         std::istreambuf_iterator<char>()};
+  in.close();
+  ASSERT_EQ(good.rfind("afs-store-v2\n", 0), 0u);
+
+  // The crc32c line covers every byte after it, so the only hits are
+  // entries whose bytes are the saved ones (a flip that rewrote a byte
+  // with its own value).
+  const auto [mutant_hits, misses] = hostile_loads(
+      store, key, r, good, [&](const std::string& bytes, const SimResult& out) {
+        EXPECT_EQ(bytes, good) << "served a mutated v2 entry";
+        expect_identical(r, out);
+      });
+  EXPECT_EQ(mutant_hits, 0);
+  EXPECT_GT(misses, 3000);
+}
+
+TEST(ResultStore, HostileV1EntriesMissOrHitOnAuthenticatedKey) {
+  // v1 entries (no checksum) are still served so that an old store keeps
+  // working until `cache verify` upgrades it. Without a checksum, a flip
+  // that turns one valid value into another cannot be told from a real
+  // value; what must hold is that the key text authenticates (no foreign
+  // or damaged key is ever served), the payload is exactly the
+  // serializer's text for the served value, and nothing crashes.
+  ResultStore store(fresh_dir("rs_hostile_v1"));
+  const CellKey key = key_for();
+  const SimResult r = simulate();
+  const std::string head = "afs-store-v1\nkeybytes " +
+                           std::to_string(key.text.size()) + "\n" + key.text;
+  const std::string good = head + serialize_sim_result(r);
+
+  const auto [mutant_hits, misses] = hostile_loads(
+      store, key, r, good, [&](const std::string& bytes, const SimResult& out) {
+        if (bytes.rfind("afs-store-v2\n", 0) == 0) {  // the recompute's save
+          expect_identical(r, out);
+          return;
+        }
+        ASSERT_EQ(bytes.rfind(head, 0), 0u) << "served with a damaged key";
+        EXPECT_EQ(serialize_sim_result(out), bytes.substr(head.size()));
+      });
+  EXPECT_GT(misses, 3000);
+  EXPECT_LT(mutant_hits, misses / 10);  // value-for-value flips only
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
 // The trace subsystem's core property: for the same seeded simulation,
-// the JSONL and binary sinks must decode to *identical* TraceRecord
-// sequences — every field bit-exact, through every scheduler family and
-// under kitchen-sink fault injection. On top of the decoded stream this
+// the decoded .cctrace must equal, record for record and bit for bit, the
+// events the simulator narrated — as captured by a recording sink that
+// lives only in this test — through every scheduler family and under
+// kitchen-sink fault injection. On top of the decoded stream this
 // file also checks the trace conservation law (narrated + abandoned ==
 // announced) and the paper's headline observable: AFS keeps a far higher
 // epoch-to-epoch affinity score than central-queue self-scheduling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/gauss.hpp"
@@ -18,7 +21,6 @@
 #include "sched/registry.hpp"
 #include "sim/machine_sim.hpp"
 #include "sim/perturbation.hpp"
-#include "sim/trace_sink.hpp"
 #include "trace/analysis.hpp"
 #include "trace/binary_sink.hpp"
 #include "trace/trace_reader.hpp"
@@ -67,37 +69,98 @@ std::vector<TraceRecord> decode(std::istringstream in) {
   return out;
 }
 
-/// Runs the same deterministic cell through both sinks and returns the
-/// two decoded sequences after asserting they are identical.
+/// The oracle: keeps every narrated event as the TraceRecord it must
+/// decode to, straight from the MetricsSink callbacks (no encoding).
+class RecordingSink final : public MetricsSink {
+ public:
+  std::vector<TraceRecord> records;
+
+  void on_run_begin(const MachineConfig& m, const std::string& program,
+                    const std::string& scheduler, int p) override {
+    add({.ev = TraceEv::kRunBegin, .machine = m.name, .program = program,
+         .scheduler = scheduler, .p = p});
+  }
+  void on_loop_begin(int epoch, std::int64_t n, int p) override {
+    add({.ev = TraceEv::kLoopBegin, .p = p, .epoch = epoch, .n = n});
+  }
+  void on_grab(int proc, const Grab& g, double t0, double t1) override {
+    add({.ev = TraceEv::kGrab, .proc = proc, .kind = g.kind,
+         .queue = g.queue, .begin = g.range.begin, .end = g.range.end,
+         .t0 = t0, .t1 = t1});
+  }
+  void on_chunk(int proc, std::int64_t begin, std::int64_t end, double t0,
+                double t1) override {
+    add({.ev = TraceEv::kChunk, .proc = proc, .begin = begin, .end = end,
+         .t0 = t0, .t1 = t1});
+  }
+  void on_miss(int proc, const BlockAccess& a, double t0,
+               double t1) override {
+    add({.ev = TraceEv::kMiss, .proc = proc, .block = a.block,
+         .size = a.size, .t0 = t0, .t1 = t1});
+  }
+  void on_invalidate(int proc, std::int64_t block, int copies, double t0,
+                     double t1) override {
+    add({.ev = TraceEv::kInval, .proc = proc, .copies = copies,
+         .block = block, .t0 = t0, .t1 = t1});
+  }
+  void on_proc_done(int proc, double t) override {
+    add({.ev = TraceEv::kDone, .proc = proc, .t0 = t});
+  }
+  void on_stall(int proc, double t0, double t1) override {
+    add({.ev = TraceEv::kStall, .proc = proc, .t0 = t0, .t1 = t1});
+  }
+  void on_proc_lost(int proc, double t) override {
+    add({.ev = TraceEv::kLost, .proc = proc, .t0 = t});
+  }
+  void on_fault_steal(int thief, int victim_queue,
+                      std::int64_t iters) override {
+    add({.ev = TraceEv::kFaultSteal, .proc = thief, .queue = victim_queue,
+         .n = iters});
+  }
+  void on_abandoned(std::int64_t iters) override {
+    add({.ev = TraceEv::kAbandoned, .n = iters});
+  }
+  void on_loop_end(int epoch, double end) override {
+    add({.ev = TraceEv::kLoopEnd, .epoch = epoch, .t0 = end});
+  }
+  void on_barrier(int epoch, double cost, double total) override {
+    add({.ev = TraceEv::kBarrier, .epoch = epoch, .size = cost,
+         .t0 = total});
+  }
+  void on_run_end(double makespan) override {
+    add({.ev = TraceEv::kRunEnd, .t0 = makespan});
+  }
+
+ private:
+  void add(TraceRecord r) { records.push_back(std::move(r)); }
+};
+
+/// Runs the same deterministic cell through the recording oracle and the
+/// binary sink and returns the decoded sequence after asserting the two
+/// are identical.
 std::vector<TraceRecord> check_equivalence(const MachineConfig& m,
                                            const LoopProgram& prog,
                                            const std::string& spec, int p,
                                            const PerturbationConfig* pc) {
-  std::ostringstream jsonl_out;
+  RecordingSink recorded;
+  run_traced(m, prog, spec, p, recorded, pc);
   std::ostringstream binary_out;
-  {
-    JsonlTraceSink jsonl(jsonl_out);
-    run_traced(m, prog, spec, p, jsonl, pc);
-  }
   {
     BinaryTraceSink binary(binary_out);
     run_traced(m, prog, spec, p, binary, pc);
   }
-
-  const std::vector<TraceRecord> from_jsonl =
-      decode(std::istringstream(jsonl_out.str()));
   std::vector<TraceRecord> from_binary =
       decode(std::istringstream(binary_out.str()));
 
   const std::string label = m.name + "/" + spec + "/" + prog.name +
                             "/P=" + std::to_string(p);
-  EXPECT_EQ(from_jsonl.size(), from_binary.size()) << label;
-  const std::size_t n = std::min(from_jsonl.size(), from_binary.size());
+  EXPECT_EQ(recorded.records.size(), from_binary.size()) << label;
+  const std::size_t n = std::min(recorded.records.size(), from_binary.size());
   for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(from_jsonl[i], from_binary[i])
+    EXPECT_EQ(recorded.records[i], from_binary[i])
         << label << ": record " << i << " ("
-        << to_string(from_jsonl[i].ev) << ") decodes differently";
-    if (!(from_jsonl[i] == from_binary[i])) break;  // one mismatch is enough
+        << to_string(recorded.records[i].ev) << ") decodes differently";
+    if (!(recorded.records[i] == from_binary[i])) break;  // one is enough
   }
   return from_binary;
 }

@@ -1,15 +1,22 @@
-// trace_report: decode simulator traces (.cctrace or .trace.jsonl),
-// print per-run analytics, and optionally render a self-contained
-// HTML/SVG Gantt timeline.
+// trace_report: decode .cctrace simulator traces, print per-run
+// analytics, and optionally render a self-contained HTML/SVG Gantt
+// timeline or export the records as JSON.
 //
 //   trace_report TRACE... [--html=PATH] [--title=TEXT]
+//   trace_report --dump-jsonl TRACE...
 //
 // For every input trace the tool prints, per run: the (machine, program,
 // scheduler, P) header, makespan, affinity score, steal totals, a
 // per-processor utilization breakdown, and the steal matrix. The trace
 // conservation law (executed + abandoned == announced iterations) is
-// checked on every run; a violation — or any decode error — makes the
-// exit status nonzero, so CI can gate on it.
+// checked on every run; a violation, a decode error, or a file holding
+// no run at all (a .cctrace cut right after its header decodes cleanly,
+// so this is the only way to see that cut) makes the exit status
+// nonzero, so CI can gate on it.
+//
+// --dump-jsonl prints every decoded record as one JSON object per line
+// (trace/json_export.hpp) instead of the analytics, with the same
+// nonzero exit on a decode error or a file holding no run.
 //
 // --html renders all decoded runs into one standalone HTML document
 // (written atomically), e.g.
@@ -17,13 +24,16 @@
 //   trace_report bench_results/fig15.p8.AFS.cctrace --html=fig15_afs.html
 
 #include <cstdio>
+#include <cstdlib>
 #include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "trace/analysis.hpp"
 #include "trace/gantt.hpp"
+#include "trace/json_export.hpp"
 #include "trace/trace_reader.hpp"
 #include "util/atomic_file.hpp"
 #include "util/table.hpp"
@@ -32,12 +42,16 @@ namespace {
 
 void print_usage(std::ostream& out) {
   out << "usage: trace_report TRACE... [--html=PATH] [--title=TEXT]\n"
-      << "  TRACE         a .cctrace or .trace.jsonl simulator trace\n"
-      << "                (format sniffed from the file header)\n"
+      << "       trace_report --dump-jsonl TRACE...\n"
+      << "  TRACE         a .cctrace simulator trace\n"
       << "  --html=PATH   render all runs as a standalone HTML/SVG Gantt\n"
       << "  --title=TEXT  document heading for --html\n"
-      << "Exits nonzero on decode errors or a trace conservation violation\n"
-      << "(executed + abandoned iterations must equal the announced total).\n";
+      << "  --dump-jsonl  print every record as one JSON object per line\n"
+      << "                (docs/SIMULATOR.md, \"Trace export schema\")\n"
+      << "                instead of the analytics\n"
+      << "Exits nonzero on decode errors, a file holding no run, or a trace\n"
+      << "conservation violation (executed + abandoned iterations must equal\n"
+      << "the announced total).\n";
 }
 
 std::string fmt(double v, int prec = 1) {
@@ -92,12 +106,29 @@ void print_run(const afs::TraceAnalysis& a, std::ostream& out) {
   out << "\n";
 }
 
+/// Streams every record of every input to `out` as JSON lines. Throws on
+/// a decode error or an input that holds no run.
+void dump_jsonl(const std::vector<std::string>& inputs, std::ostream& out) {
+  for (const std::string& path : inputs) {
+    afs::TraceReader reader(path);
+    afs::TraceRecord rec;
+    bool saw_run = false;
+    while (reader.next(rec)) {
+      saw_run |= rec.ev == afs::TraceEv::kRunBegin;
+      out << afs::to_jsonl(rec) << '\n';
+    }
+    if (!saw_run) throw std::runtime_error(path + ": trace holds no run");
+  }
+  out.flush();
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> inputs;
   std::string html_path;
   std::string title;
+  bool dump = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -112,6 +143,8 @@ int main(int argc, char** argv) {
       }
     } else if (arg.rfind("--title=", 0) == 0) {
       title = arg.substr(8);
+    } else if (arg == "--dump-jsonl") {
+      dump = true;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "trace_report: unknown argument '" << arg << "'\n";
       print_usage(std::cerr);
@@ -126,7 +159,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
+  if (dump && (!html_path.empty() || !title.empty())) {
+    std::cerr << "trace_report: --dump-jsonl takes no --html or --title\n";
+    return 2;
+  }
+  if (dump) {
+    try {
+      dump_jsonl(inputs, std::cout);
+    } catch (const std::exception& e) {
+      std::cerr << "trace_report: " << e.what() << "\n";
+      return EXIT_FAILURE;
+    }
+    return EXIT_SUCCESS;
+  }
+
   bool violated = false;
+  bool runless = false;
   std::vector<afs::TraceRecord> all_records;
   try {
     for (const std::string& path : inputs) {
@@ -136,6 +184,10 @@ int main(int argc, char** argv) {
       std::cout << "== " << path << " (" << records.size() << " records, "
                 << runs.size() << " run" << (runs.size() == 1 ? "" : "s")
                 << ") ==\n";
+      if (runs.empty()) {
+        std::cerr << "trace_report: " << path << ": trace holds no run\n";
+        runless = true;
+      }
       for (const afs::TraceAnalysis& a : runs) {
         print_run(a, std::cout);
         if (!a.conserved()) violated = true;
@@ -159,9 +211,7 @@ int main(int argc, char** argv) {
     return EXIT_FAILURE;
   }
 
-  if (violated) {
+  if (violated)
     std::cerr << "trace_report: trace conservation violated (see above)\n";
-    return EXIT_FAILURE;
-  }
-  return EXIT_SUCCESS;
+  return violated || runless ? EXIT_FAILURE : EXIT_SUCCESS;
 }
