@@ -42,12 +42,6 @@ struct BenchCli {
   bool time_phases = false;  ///< collect engine phase timers; write
                              ///< <out_dir>/<id>.phases.json
   bool no_batch = false;     ///< A/B: disable iteration batching
-  bool no_memory_fast_path = false;  ///< A/B: disable the exclusive-
-                                     ///< residency memory fast path
-  bool no_calendar_queue = false;    ///< A/B: reference binary-heap
-                                     ///< EventCore instead of the ring
-  bool no_epoch_batch = false;       ///< A/B: rebuild engine state per run
-                                     ///< instead of warm-state reuse
   int jobs = 1;                ///< sweep-runner worker threads
   bool resume = false;         ///< reload checkpointed cells
   double cell_timeout = 0.0;   ///< seconds per cell attempt; 0 = unlimited
@@ -66,8 +60,7 @@ struct BenchCli {
 inline void print_usage(const char* argv0, std::ostream& out) {
   out << "usage: " << argv0
       << " [--procs=1,2,4] [--out-dir=DIR] [--trace]\n"
-      << "       [--time-phases] [--no-batch] [--no-memory-fast-path]\n"
-      << "       [--no-calendar-queue] [--no-epoch-batch]\n"
+      << "       [--time-phases] [--no-batch]\n"
       << "       [--jobs=N] [--resume] [--cell-timeout=S] [--sweep-timeout=S]\n"
       << "       [--cell-retries=N] [--store=DIR] [--no-store]\n"
       << "  --procs=LIST   comma-separated processor counts overriding the\n"
@@ -85,14 +78,6 @@ inline void print_usage(const char* argv0, std::ostream& out) {
       << "                 tools/phase_report.py)\n"
       << "  --no-batch     disable iteration batching (A/B check; results\n"
       << "                 are bit-identical, only slower)\n"
-      << "  --no-memory-fast-path  disable the memory system's exclusive-\n"
-      << "                 residency fast path (A/B check; bit-identical)\n"
-      << "  --no-calendar-queue  use the reference binary-heap event queue\n"
-      << "                 instead of the calendar ring (A/B check;\n"
-      << "                 bit-identical, only slower)\n"
-      << "  --no-epoch-batch  rebuild engine state per run instead of\n"
-      << "                 reusing a warmed simulator across cells (A/B\n"
-      << "                 check; bit-identical, only slower)\n"
       << "  --jobs=N       run independent (scheduler, P) sweep cells on N\n"
       << "                 threads (default 1 = serial; results identical)\n"
       << "  --resume       reload finished cells from the sweep checkpoint\n"
@@ -147,12 +132,6 @@ inline bool parse_cli_args(const std::vector<std::string>& args, BenchCli& cli,
       cli.time_phases = true;
     } else if (arg == "--no-batch") {
       cli.no_batch = true;
-    } else if (arg == "--no-memory-fast-path") {
-      cli.no_memory_fast_path = true;
-    } else if (arg == "--no-calendar-queue") {
-      cli.no_calendar_queue = true;
-    } else if (arg == "--no-epoch-batch") {
-      cli.no_epoch_batch = true;
     } else if (arg.rfind("--cell-retries=", 0) == 0) {
       const std::string tok = arg.substr(15);
       char* end = nullptr;

@@ -103,19 +103,15 @@ MachineSim& warm_machine_sim(const MachineConfig& machine,
   // sink, cancellation token), which have setters. A key match means the
   // cached simulator is behaviorally identical to a fresh one — run()
   // resets all simulated state — so the reuse only carries the warmed
-  // host-side allocations across cells (SimOptions::epoch_batch).
+  // host-side allocations across cells.
   thread_local std::string warm_key;
   thread_local std::unique_ptr<MachineSim> warm;
 
   std::ostringstream os;
-  PerturbationConfig perturb = options.perturb;
-  if (!options.start_delays.empty()) perturb.start_delays = options.start_delays;
   os << machine_key(machine) << '\n'
-     << perturb_key(perturb) << '\n'
+     << perturb_key(options.perturb) << '\n'
      << "jitter_seed " << options.jitter_seed << " batch "
-     << options.batch_iterations << " memfast " << options.memory_fast_path
-     << " calendar " << options.calendar_queue << " epochbatch "
-     << options.epoch_batch << " phases " << options.time_phases;
+     << options.batch_iterations << " phases " << options.time_phases;
   std::string key = os.str();
 
   if (warm == nullptr || key != warm_key) {
@@ -131,11 +127,6 @@ SimResult run_figure_cell(const FigureSpec& spec, const SchedulerEntry& se,
                           int procs, const SimOptions& options) {
   maybe_crash_cell_for_test(spec.id, se.label, procs);
   auto sched = se.make();
-  if (!options.epoch_batch) {
-    // Epoch batching off: the pre-reuse path, one simulator per cell.
-    MachineSim sim(spec.machine, options);
-    return sim.run(spec.program, *sched, procs);
-  }
   return warm_machine_sim(spec.machine, options)
       .run(spec.program, *sched, procs);
 }
@@ -205,10 +196,7 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
                  trace == nullptr && !options.time_phases) {
                SimResult r = spec.executor->execute(
                    spec.exec, se.label, p,
-                   EngineToggles{options.batch_iterations,
-                                 options.memory_fast_path,
-                                 options.calendar_queue, options.epoch_batch},
-                   token);
+                   EngineToggles{options.batch_iterations}, token);
                if (spec.store && key.cacheable) spec.store->save(key, r);
                return r;
              }

@@ -125,14 +125,13 @@ FigureResult run_figure(const FigureSpec& spec, std::ostream& out,
 SimResult run_figure_cell(const FigureSpec& spec, const SchedulerEntry& se,
                           int procs, const SimOptions& options);
 
-/// Epoch batching: this thread's warm simulator for (machine, options) —
+/// This thread's warm simulator for (machine, options) —
 /// constructed on first use, then reused for every subsequent cell whose
 /// machine and options match, so repeated runs keep the warmed ProcCache/
 /// Directory/event-ring allocations instead of rebuilding them per run.
 /// The per-cell observer pointers (trace sink, cancellation token) are
 /// re-attached on every call; a run() resets all simulated state, so a
-/// warm simulator is behaviorally identical to a fresh one. Callers with
-/// options.epoch_batch unset should construct their own simulator.
+/// warm simulator is behaviorally identical to a fresh one.
 MachineSim& warm_machine_sim(const MachineConfig& machine,
                              const SimOptions& options);
 

@@ -68,9 +68,6 @@ Experiment figure_experiment(
     spec.out_dir = cli.out_dir;
     if (cli.time_phases) spec.sim_options.time_phases = true;
     if (cli.no_batch) spec.sim_options.batch_iterations = false;
-    if (cli.no_memory_fast_path) spec.sim_options.memory_fast_path = false;
-    if (cli.no_calendar_queue) spec.sim_options.calendar_queue = false;
-    if (cli.no_epoch_batch) spec.sim_options.epoch_batch = false;
     // Tracing is per sweep cell (each cell constructs, finalizes, or
     // abandons its own sink inside run_figure), which is what lets
     // --trace compose with --jobs=N and --resume.
@@ -156,16 +153,10 @@ SimResult run_cell_cached(const ExperimentContext& ctx,
   if (opts.cancel != nullptr && opts.cancel->cancelled())
     throw CancelledError("cell cancelled before simulation started");
   auto sched = make_scheduler(sched_spec);
-  SimResult r;
-  if (opts.epoch_batch) {
-    // Epoch batching: the bespoke tables re-run the same machine many
-    // times (tab6 alone runs six schedulers over one program), so ride
-    // this thread's warmed simulator instead of rebuilding per row.
-    r = warm_machine_sim(machine, opts).run(program, *sched, procs);
-  } else {
-    MachineSim sim(machine, opts);
-    r = sim.run(program, *sched, procs);
-  }
+  // The bespoke tables re-run the same machine many times (tab6 alone
+  // runs six schedulers over one program), so ride this thread's warmed
+  // simulator instead of rebuilding per row.
+  SimResult r = warm_machine_sim(machine, opts).run(program, *sched, procs);
   if (ctx.store && key.cacheable) ctx.store->save(key, r);
   return r;
 }

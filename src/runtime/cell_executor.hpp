@@ -61,16 +61,13 @@ struct CellExecSpec {
   bool valid() const { return !experiment.empty() || !kernel.empty(); }
 };
 
-/// The engine A/B toggles a cell run carries besides its recipe — the
-/// only SimOptions a CLI can change that the recipe does not already
-/// encode. All four are proven bit-identical on/off; they exist so A/B
-/// sweeps (and the store keys derived from them) actually exercise both
-/// engines.
+/// The engine toggle a cell run carries besides its recipe — the only
+/// SimOptions field a CLI can change that the recipe does not already
+/// encode. Proven bit-identical on/off; it exists so tab7's batching
+/// check and `--no-batch` A/B sweeps (and the store keys derived from
+/// them) actually exercise both engines.
 struct EngineToggles {
   bool batch_iterations = true;  ///< iteration-batching fast path
-  bool memory_fast_path = true;  ///< exclusive-residency shortcut
-  bool calendar_queue = true;    ///< calendar-ring EventCore
-  bool epoch_batch = true;       ///< warm-state reuse across runs
 };
 
 /// The cell is blacklisted: it crashed workers `poison_strikes` times.
@@ -92,7 +89,7 @@ class CellExecutor {
   virtual ~CellExecutor() = default;
 
   /// Executes one (label, procs) cell of the sweep `spec` describes.
-  /// `toggles` carries the caller's engine A/B switches. Blocks until the
+  /// `toggles` carries the caller's engine A/B switch. Blocks until the
   /// result is available; polls `token` and kills the worker when it
   /// fires. Throws per the taxonomy in the header comment.
   virtual SimResult execute(const CellExecSpec& spec, const std::string& label,

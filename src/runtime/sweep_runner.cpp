@@ -19,6 +19,7 @@
 #include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/hash.hpp"
+#include "util/json_quote.hpp"
 #include "util/rng.hpp"
 
 namespace afs {
@@ -47,28 +48,6 @@ std::string fmt_double(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%a", v);  // hexfloat: exact round-trip
   return buf;
-}
-
-std::string json_escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 double elapsed_s(std::chrono::steady_clock::time_point t0) {
@@ -267,18 +246,18 @@ std::string cell_checkpoint_path(const std::string& dir,
 std::string failure_report_json(const std::string& sweep_id,
                                 const SweepOutcome& outcome) {
   std::ostringstream os;
-  os << "{\"schema\":\"afs-sweep-failures-v1\",\"sweep\":\""
-     << json_escaped(sweep_id) << "\",\"cells_total\":" << outcome.cells_total
+  os << "{\"schema\":\"afs-sweep-failures-v1\",\"sweep\":"
+     << json_quote(sweep_id) << ",\"cells_total\":" << outcome.cells_total
      << ",\"cells_completed\":"
      << outcome.cells_total - static_cast<int>(outcome.failures.size())
      << ",\"cells_failed\":" << outcome.failures.size() << ",\"failures\":[";
   for (std::size_t k = 0; k < outcome.failures.size(); ++k) {
     const CellFailure& f = outcome.failures[k];
     if (k) os << ',';
-    os << "{\"scheduler\":\"" << json_escaped(f.label)
-       << "\",\"procs\":" << f.procs << ",\"kind\":\"" << json_escaped(f.kind)
-       << "\",\"attempts\":" << f.attempts << ",\"message\":\""
-       << json_escaped(f.message) << "\"}";
+    os << "{\"scheduler\":" << json_quote(f.label)
+       << ",\"procs\":" << f.procs << ",\"kind\":" << json_quote(f.kind)
+       << ",\"attempts\":" << f.attempts
+       << ",\"message\":" << json_quote(f.message) << "}";
   }
   os << "]}\n";
   return os.str();

@@ -21,7 +21,7 @@
 //
 // Everything is driven by simulated times delivered at deterministic
 // points, so the chunk-size trajectory is a pure function of the workload
-// and options: bit-identical across --jobs, batching and queue toggles.
+// and options: bit-identical across --jobs and batching.
 #pragma once
 
 #include <cstdint>

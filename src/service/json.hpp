@@ -21,6 +21,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/json_quote.hpp"
+
 namespace afs::service {
 
 class JsonValue {
@@ -63,11 +65,6 @@ bool parse_json(std::string_view text, JsonValue& out, std::string& error);
 /// surrogate code points, and values above U+10FFFF). Exposed for the
 /// framer, which wants to classify bad bytes before parsing.
 bool valid_utf8(std::string_view text);
-
-/// `s` escaped and double-quoted for embedding in a JSON document.
-/// Control characters become \u escapes, so the output never contains a
-/// raw newline — a quoted string is always frame-safe.
-std::string json_quote(std::string_view s);
 
 /// Shortest decimal rendering of `v` that round-trips a double. NaN and
 /// infinities (unrepresentable in JSON) render as null.

@@ -418,10 +418,7 @@ SimResult WorkerPool::execute(const CellExecSpec& spec,
   std::ostringstream req;
   req << "{\"op\":\"cell\",\"label\":" << json_quote(label)
       << ",\"procs\":" << procs
-      << ",\"batch\":" << (toggles.batch_iterations ? "true" : "false")
-      << ",\"memfast\":" << (toggles.memory_fast_path ? "true" : "false")
-      << ",\"calendar\":" << (toggles.calendar_queue ? "true" : "false")
-      << ",\"epochbatch\":" << (toggles.epoch_batch ? "true" : "false");
+      << ",\"batch\":" << (toggles.batch_iterations ? "true" : "false");
   if (!spec.experiment.empty()) {
     req << ",\"experiment\":" << json_quote(spec.experiment);
   } else {
@@ -733,15 +730,6 @@ int worker_main() {
       if (const JsonValue* batch = msg.find("batch");
           batch != nullptr && batch->is_bool())
         spec.sim_options.batch_iterations = batch->boolean;
-      if (const JsonValue* memfast = msg.find("memfast");
-          memfast != nullptr && memfast->is_bool())
-        spec.sim_options.memory_fast_path = memfast->boolean;
-      if (const JsonValue* calendar = msg.find("calendar");
-          calendar != nullptr && calendar->is_bool())
-        spec.sim_options.calendar_queue = calendar->boolean;
-      if (const JsonValue* epochbatch = msg.find("epochbatch");
-          epochbatch != nullptr && epochbatch->is_bool())
-        spec.sim_options.epoch_batch = epochbatch->boolean;
 
       const SchedulerEntry* se = nullptr;
       for (const SchedulerEntry& e : spec.schedulers)

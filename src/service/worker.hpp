@@ -30,7 +30,7 @@
 //
 // Wire protocol (one JSON object per line, worker stdin/stdout):
 //   parent -> worker:
-//     {"op":"cell","label":L,"procs":P,"batch":B,"memfast":M,
+//     {"op":"cell","label":L,"procs":P,"batch":B,
 //      "experiment":"fig04"}                          (registered figure)
 //     {"op":"cell",...,"grid":{"kernel":K,"machine":M,"schedulers":S,
 //      "perturb":X,"procs":[..]}}                     (ad-hoc grid)

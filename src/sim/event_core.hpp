@@ -7,26 +7,20 @@
 // of insertion order. Every layered component above this one (memory
 // system, sync model, metrics) relies on that total order.
 //
-// Two interchangeable representations implement that contract:
-//
-//   * Calendar ring (default): the events live fully sorted in a circular
-//     buffer — the head slot is the rolling "now" bucket, later slots hold
-//     later times. The engine's steady state is a processor finishing a
-//     constant-cost iteration: its new event time is >= every queued event,
-//     so it lands in the tail bucket in O(1) and pops from the head bucket
-//     in O(1) — no sift at all. Irregular costs and perturbed runs fall
-//     back to the sorted path: a backward insertion scan from the tail
-//     that shifts at most the events the new one overtakes (the queue
-//     holds at most one event per processor, so the scan is bounded by P
-//     and in practice touches a slot or two). Because the ring is *fully
-//     sorted* at all times, the drain order is the (time, processor-id)
-//     total order by construction — exactness needs no further argument.
-//
-//   * Binary heap (reference): the pre-calendar std::*_heap implementation,
-//     kept verbatim behind set_calendar(false) for A/B runs and for the
-//     randomized equivalence test (tests/sim/event_queue_property_test.cpp)
-//     that drains both representations through millions of mixed ops and
-//     asserts bit-identical sequences.
+// Representation: a calendar ring. The events live fully sorted in a
+// circular buffer — the head slot is the rolling "now" bucket, later slots
+// hold later times. The engine's steady state is a processor finishing a
+// constant-cost iteration: its new event time is >= every queued event, so
+// it lands in the tail bucket in O(1) and pops from the head bucket in
+// O(1) — no sift at all. Irregular costs and perturbed runs take the
+// sorted path: a backward insertion scan from the tail that shifts at most
+// the events the new one overtakes (the queue holds at most one event per
+// processor, so the scan is bounded by P and in practice touches a slot or
+// two). Because the ring is *fully sorted* at all times, the drain order is
+// the (time, processor-id) total order by construction. The randomized
+// equivalence test (tests/sim/event_queue_property_test.cpp) drains it in
+// lockstep with a test-local binary-heap oracle — the pre-calendar
+// std::*_heap queue — through millions of mixed ops.
 //
 // Batching fast path: `leads(t, proc)` answers "if (t, proc) were pushed
 // now, would it be popped next?". When true, the engine may keep executing
@@ -59,30 +53,15 @@ class EventCore {
   /// clock without touching simulated state.
   void set_cancel(const CancelToken* token) { cancel_ = token; }
 
-  /// Selects the representation: calendar ring (true, default) or the
-  /// reference binary heap. Takes effect at the next reset(); never switch
-  /// mid-drain. Both produce bit-identical event sequences — the toggle
-  /// exists for A/B runs (SimOptions::calendar_queue).
-  void set_calendar(bool on) { calendar_ = on; }
-  bool calendar() const { return calendar_; }
-
   /// Starts a new loop: one event per processor at its start time, and all
   /// completion clocks cleared.
   void reset(const std::vector<double>& start) {
     done_.assign(start.size(), 0.0);
-    if (calendar_) {
-      ring_reset(start.size());
-      for (std::size_t i = 0; i < start.size(); ++i)
-        ring_[i] = Event(start[i], static_cast<int>(i));
-      count_ = start.size();
-      std::sort(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
-      return;
-    }
-    heap_.clear();
-    heap_.reserve(start.size());
+    ring_reset(start.size());
     for (std::size_t i = 0; i < start.size(); ++i)
-      heap_.emplace_back(start[i], static_cast<int>(i));
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+      ring_[i] = Event(start[i], static_cast<int>(i));
+    count_ = start.size();
+    std::sort(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
   }
 
   /// Fault-aware reset: processor `i` joins the loop only when `alive[i]`;
@@ -91,57 +70,31 @@ class EventCore {
   void reset(const std::vector<double>& start, const std::vector<char>& alive) {
     AFS_DCHECK(alive.size() == start.size());
     done_.assign(start.size(), 0.0);
-    if (calendar_) {
-      ring_reset(start.size());
-      count_ = 0;
-      for (std::size_t i = 0; i < start.size(); ++i) {
-        if (alive[i])
-          ring_[count_++] = Event(start[i], static_cast<int>(i));
-        else
-          done_[i] = start[i];
-      }
-      std::sort(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
-      return;
-    }
-    heap_.clear();
-    heap_.reserve(start.size());
+    ring_reset(start.size());
     for (std::size_t i = 0; i < start.size(); ++i) {
       if (alive[i])
-        heap_.emplace_back(start[i], static_cast<int>(i));
+        ring_[count_++] = Event(start[i], static_cast<int>(i));
       else
         done_[i] = start[i];
     }
-    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    std::sort(ring_.begin(), ring_.begin() + static_cast<std::ptrdiff_t>(count_));
   }
 
-  bool empty() const { return calendar_ ? count_ == 0 : heap_.empty(); }
-  std::size_t size() const { return calendar_ ? count_ : heap_.size(); }
+  bool empty() const { return count_ == 0; }
+  std::size_t size() const { return count_; }
 
   /// Removes and returns the globally earliest event. Throws
   /// CancelledError when an attached cancellation token has fired.
   Event pop() {
     AFS_DCHECK(!empty());
     poll_cancel();
-    if (calendar_) {
-      const Event e = ring_[head_];
-      head_ = (head_ + 1) & mask_;
-      --count_;
-      return e;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-    const Event e = heap_.back();
-    heap_.pop_back();
+    const Event e = ring_[head_];
+    head_ = (head_ + 1) & mask_;
+    --count_;
     return e;
   }
 
-  void push(double t, int proc) {
-    if (calendar_) {
-      ring_insert(Event(t, proc));
-      return;
-    }
-    heap_.emplace_back(t, proc);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  }
+  void push(double t, int proc) { ring_insert(Event(t, proc)); }
 
   /// Fused push-then-pop: inserts (t, proc) and removes the globally
   /// earliest event in one motion. Exactly equivalent to push() followed
@@ -161,29 +114,19 @@ class EventCore {
   Event push_pop(double t, int proc) {
     poll_cancel();
     const Event e(t, proc);
-    if (calendar_) {
-      if (count_ == 0 || !(ring_[head_] < e)) {
-        // Keeping e is correct iff e still leads — or ties the front
-        // *exactly*, in which case swapping e for the identical front
-        // event is unobservable. The engine itself never queues an exact
-        // (time, processor) duplicate.
-        AFS_DCHECK(count_ == 0 || leads(t, proc) || e == ring_[head_]);
-        return e;
-      }
-      AFS_DCHECK(!leads(t, proc));
-      const Event out = ring_[head_];
-      head_ = (head_ + 1) & mask_;
-      --count_;
-      ring_insert(e);
-      return out;
-    }
-    if (heap_.empty() || !(heap_.front() < e)) {
-      AFS_DCHECK(heap_.empty() || leads(t, proc) || e == heap_.front());
+    if (count_ == 0 || !(ring_[head_] < e)) {
+      // Keeping e is correct iff e still leads — or ties the front
+      // *exactly*, in which case swapping e for the identical front event
+      // is unobservable. The engine itself never queues an exact
+      // (time, processor) duplicate.
+      AFS_DCHECK(count_ == 0 || leads(t, proc) || e == ring_[head_]);
       return e;
     }
     AFS_DCHECK(!leads(t, proc));
-    const Event out = heap_.front();
-    sift_down_from_root(e);
+    const Event out = ring_[head_];
+    head_ = (head_ + 1) & mask_;
+    --count_;
+    ring_insert(e);
     return out;
   }
 
@@ -202,7 +145,7 @@ class EventCore {
   /// of its iteration loop). Precondition: !empty().
   const Event& top() const {
     AFS_DCHECK(!empty());
-    return calendar_ ? ring_[head_] : heap_.front();
+    return ring_[head_];
   }
 
   /// Records that `proc` drained the scheduler at time `t`.
@@ -225,8 +168,6 @@ class EventCore {
       throw CancelledError(
           "simulation cancelled at event boundary (deadline or sweep abort)");
   }
-
-  // ---- calendar ring ----------------------------------------------------
 
   /// Sizes the ring for `n` starting events (power-of-two capacity so the
   /// head/tail indices wrap with a mask) and rewinds it. Capacity is kept
@@ -272,31 +213,10 @@ class EventCore {
     head_ = 0;
   }
 
-  // ---- reference binary heap --------------------------------------------
-
-  /// Places `e` at the root and restores min-heap order top-down,
-  /// maintaining the same parent<=child invariant the std::*_heap calls
-  /// keep (min-heap under operator<).
-  void sift_down_from_root(const Event& e) {
-    std::size_t i = 0;
-    const std::size_t n = heap_.size();
-    for (;;) {
-      std::size_t c = 2 * i + 1;
-      if (c >= n) break;
-      if (c + 1 < n && heap_[c + 1] < heap_[c]) ++c;
-      if (!(heap_[c] < e)) break;
-      heap_[i] = heap_[c];
-      i = c;
-    }
-    heap_[i] = e;
-  }
-
-  bool calendar_ = true;      // representation toggle; see set_calendar()
   std::vector<Event> ring_;   // sorted circular buffer (power-of-two size)
   std::size_t mask_ = 0;      // ring_.size() - 1
   std::size_t head_ = 0;      // index of the earliest event
   std::size_t count_ = 0;     // live events in the ring
-  std::vector<Event> heap_;   // binary min-heap via std::*_heap (reference)
   std::vector<double> done_;  // completion clock per processor
   const CancelToken* cancel_ = nullptr;  // not owned; see set_cancel()
 };

@@ -20,22 +20,12 @@ inline double dsec(Clock::time_point a, Clock::time_point b) {
 }  // namespace
 
 void SimOptions::validate(const MachineConfig& config) const {
-  AFS_CHECK_MSG(start_delays.empty() || perturb.start_delays.empty(),
-                "SimOptions.start_delays and "
-                "SimOptions.perturb.start_delays are both set; use one");
   perturb.validate(config.max_processors);
 }
 
 MachineSim::MachineSim(MachineConfig config, SimOptions options)
     : config_(std::move(config)), options_(std::move(options)) {
   config_.validate();
-  // Legacy Table 2 shim: fold SimOptions::start_delays into the
-  // perturbation config so there is exactly one delay mechanism inside
-  // the engine.
-  if (!options_.start_delays.empty() && options_.perturb.start_delays.empty()) {
-    options_.perturb.start_delays = options_.start_delays;
-    options_.start_delays.clear();
-  }
   options_.validate(config_);
 }
 
@@ -112,11 +102,11 @@ void MachineSim::run_loop_impl(const ParallelLoopSpec& spec, Scheduler& sched,
   //
   // Batching fast path (batch == true): after each step a processor checks
   // EventCore::leads — if it would be popped next anyway, it keeps
-  // executing inline, eliminating the heap round-trip without reordering
+  // executing inline, eliminating the queue round-trip without reordering
   // anything. Footprint-free chunks go further and always coalesce to one
   // event: they touch no shared resource, so no interleaving with other
   // processors can observe or affect them. Footprint chunks run in a
-  // horizon-batched inner loop — the heap is untouched during an inline
+  // horizon-batched inner loop — the queue is untouched during an inline
   // run, so on switch interconnects the other-processor horizon is read
   // once per pop instead of once per iteration (docs/SIMULATOR.md proves
   // all three cases). Chunks with an analytic work_sum are charged in O(1)
@@ -126,9 +116,9 @@ void MachineSim::run_loop_impl(const ParallelLoopSpec& spec, Scheduler& sched,
   // boundaries, which both batching modes visit at identical clock values;
   // the coalescing path below repeats them per iteration so the injected
   // schedule — and therefore the SimResult — is the same either way.
-  // Steady-state heap traffic uses the fused EventCore::push_pop — a
+  // Steady-state queue traffic uses the fused EventCore::push_pop — a
   // processor that stops leading swaps itself for the current leader in
-  // one sift instead of a push plus a pop. Same event multiset, same
+  // one motion instead of a push plus a pop. Same event multiset, same
   // total order, bit-identical drain.
   bool draining = !events_.empty();
   EventCore::Event cur = draining ? events_.pop() : EventCore::Event{};
@@ -230,13 +220,13 @@ void MachineSim::run_loop_impl(const ParallelLoopSpec& spec, Scheduler& sched,
       } else if (batch && !faulty && spec.footprint) {
         // Horizon-batched footprint execution: the chunk's iterations —
         // memory accesses included — run inline until the chunk drains or
-        // this processor would no longer be popped next. The event heap is
+        // this processor would no longer be popped next. The event queue is
         // untouched for the whole inline run (no push/pop/finish until we
         // break), so on a switch interconnect the other-processor horizon
         // (EventCore::top) is hoisted out of the loop; the serialized-link
         // machines keep the original path's per-iteration leads() probe.
         // Both predicates are the same comparison against the same
-        // unmoving heap top, so results are bit-identical either way.
+        // unmoving queue top, so results are bit-identical either way.
         const bool bounded = !events_.empty();
         double horizon_t = 0.0;
         int horizon_p = 0;
@@ -354,10 +344,8 @@ SimResult MachineSim::run(const LoopProgram& program, Scheduler& sched, int p) {
   SimResult result;
   MetricsFanout m(result, options_.trace);
   events_.set_cancel(options_.cancel);
-  events_.set_calendar(options_.calendar_queue);
   pert_.reset(options_.perturb, p);
-  memory_.reset(config_, p, &pert_, options_.memory_fast_path,
-                /*warm=*/options_.epoch_batch);
+  memory_.reset(config_, p, &pert_);
   sync_.reset(config_, sched, p, &pert_);
   sched.reset_stats();
   m.on_run_begin(config_, program.name, sched.name(), p);

@@ -5,7 +5,7 @@
 // paper's figures plot. Since the engine refactor it is a thin
 // orchestrator over four layered, independently-testable components:
 //
-//   EventCore    (event_core.hpp)    deterministic (time, proc) heap and
+//   EventCore    (event_core.hpp)    deterministic (time, proc) queue and
 //                                    per-processor completion clocks;
 //   MemorySystem (memory_system.hpp) caches + coherence directory +
 //                                    interconnect behind one access();
@@ -55,12 +55,6 @@ struct SimOptions {
   /// MachineConfig::epoch_jitter).
   std::uint64_t jitter_seed = 42;
 
-  /// Compatibility shim for the Table 2 arrival-time experiment: per-
-  /// processor start delays for the first loop of the first epoch. Folded
-  /// into `perturb.start_delays` at construction; setting both is an
-  /// error. Prefer PerturbationConfig directly.
-  std::vector<double> start_delays;
-
   /// Deterministic fault injection (start delays, transient stalls,
   /// processor loss, memory spikes, contention bursts). Default: all off,
   /// with results bit-identical to an engine without the subsystem. See
@@ -68,41 +62,14 @@ struct SimOptions {
   PerturbationConfig perturb;
 
   /// Iteration-batching fast path (on by default): consecutive iterations
-  /// of a grabbed chunk execute without event-heap round-trips whenever
+  /// of a grabbed chunk execute without event-queue round-trips whenever
   /// that provably cannot change the serialization order — the processor
   /// still leads every queued event, or the loop has no data footprint at
   /// all. Footprint loops run in a horizon-batched inner loop (scratch
   /// access plan hoisted out of the iteration; on switch interconnects the
-  /// heap-top horizon is hoisted too). Results are identical either way;
-  /// off exists for A/B tests.
+  /// queue-top horizon is hoisted too). Results are identical either way;
+  /// off exists for tab7's batching-invariance check and A/B tests.
   bool batch_iterations = true;
-
-  /// Calendar-queue EventCore (on by default): the pending events live in
-  /// a sorted circular ring — O(1) tail insert / head pop in the
-  /// same-cost steady state, a bounded insertion scan otherwise — instead
-  /// of the reference binary heap. Drain order is the same (time,
-  /// processor-id) total order either way, so results are bit-identical;
-  /// off exists for A/B tests (see docs/SIMULATOR.md, "Event queue").
-  bool calendar_queue = true;
-
-  /// Epoch batching (on by default): repeated runs on the same warm
-  /// simulator reuse the previous run's host-side allocations — the
-  /// ProcCache line pools and hash tables, the Directory table, the event
-  /// ring — instead of rebuilding them per run. Simulated state still
-  /// starts cold every run (same cold caches, same empty directory), so
-  /// results are bit-identical; the sweep harness keys warm simulators by
-  /// (machine, options) and multi-run tables/figures ride one warmed
-  /// engine. Off exists for A/B tests and forces the pre-reuse
-  /// rebuild-per-run path.
-  bool epoch_batch = true;
-
-  /// MemorySystem exclusive-residency fast path (on by default): accesses
-  /// that hit a resident — and, for writes, exclusively-owned — block are
-  /// charged from the single residency probe, skipping the directory
-  /// bookkeeping the full MSI path would no-op through. Bit-identical
-  /// results either way; off exists for A/B tests (see
-  /// docs/SIMULATOR.md, "Memory system").
-  bool memory_fast_path = true;
 
   /// Collect the host wall-clock phase breakdown into SimResult::timers
   /// (scheduler / work / footprint / memory / event-core shares). Off by
@@ -124,7 +91,7 @@ struct SimOptions {
 
   /// Throws CheckFailure (naming the offending field and value) when any
   /// option is inconsistent with itself or with `config`. Called by the
-  /// MachineSim constructor after the start_delays shim is folded in.
+  /// MachineSim constructor.
   void validate(const MachineConfig& config) const;
 };
 
@@ -151,7 +118,7 @@ class MachineSim {
   /// Attaches / detaches the cancellation token for subsequent run()
   /// calls (overrides SimOptions::cancel). Not owned. Lets a warm
   /// simulator be reused across sweep cells that each carry their own
-  /// token (see SimOptions::epoch_batch).
+  /// token (see warm_machine_sim in experiments/figure.hpp).
   void set_cancel(const CancelToken* token) { options_.cancel = token; }
 
  private:
@@ -187,8 +154,8 @@ class MachineSim {
   /// so footprint() fills pre-sized storage instead of a fresh vector.
   std::vector<BlockAccess> plan_;
   /// Reusable per-loop scratch (in-flight chunks, per-processor start
-  /// times), hoisted out of the per-epoch loop so repeated loops — and,
-  /// under epoch batching, repeated runs — reuse the same storage.
+  /// times), hoisted out of the per-epoch loop so repeated loops and
+  /// repeated runs reuse the same storage.
   std::vector<ChunkState> pending_;
   std::vector<double> start_;
   EnginePhaseTimers timers_;  ///< accumulates while time_phases is set

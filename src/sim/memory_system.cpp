@@ -3,19 +3,18 @@
 namespace afs {
 
 void MemorySystem::reset(const MachineConfig& config, int p,
-                         PerturbationModel* pert, bool fast_path, bool warm) {
+                         PerturbationModel* pert) {
   cache_capacity_ = config.cache_capacity;
   miss_latency_ = config.miss_latency;
   transfer_unit_time_ = config.transfer_unit_time;
   invalidate_time_ = config.invalidate_time;
   serialized_link_ = config.interconnect != Interconnect::kSwitch;
-  fast_path_ = fast_path;
   pert_ = (pert && pert->affects_memory()) ? pert : nullptr;
 
   directory_.clear();
   const std::size_t n = static_cast<std::size_t>(p);
-  if (warm && !caches_.empty() && caches_[0].capacity() == cache_capacity_) {
-    // Epoch batching: keep the warmed line pools and hash tables (every
+  if (!caches_.empty() && caches_[0].capacity() == cache_capacity_) {
+    // A repeated run: keep the warmed line pools and hash tables (every
     // cache shares one capacity, so checking the first suffices). Shrink
     // or grow the per-processor vector to this run's P — surviving caches
     // clear in place, new ones start from scratch like a cold reset.

@@ -17,9 +17,9 @@
 // exclusively-owned block rewrites its own sharer mask with the value it
 // already holds. `access()` therefore answers both cases from the single
 // residency probe (ProcCache::access_hit_state) and skips every further
-// lookup; any miss, and any write to a block not known-exclusive, falls
-// back to the exact full path (`SimOptions::memory_fast_path` toggles the
-// shortcut for A/B runs — results are bit-identical either way).
+// lookup; any miss, and any write to a block not known-exclusive, takes
+// the full path. tests/sim/memory_oracle_test.cpp replays random access
+// streams against a test-local copy of the pre-shortcut MSI sequence.
 #pragma once
 
 #include <bit>
@@ -42,18 +42,13 @@ class MemorySystem {
   /// fields are captured so `access()` needs no config thereafter.
   /// `pert` (optional) injects per-miss latency spikes and contention-burst
   /// occupancy multipliers; it is consulted only when it actually affects
-  /// memory, so the unperturbed miss path is untouched. `fast_path`
-  /// enables the exclusive-residency shortcut (see the header comment);
-  /// off reproduces the pre-shortcut code path instruction for
-  /// instruction. `warm` (epoch batching) clears the existing per-
-  /// processor caches in place — line pools and hash tables keep their
-  /// capacity — instead of reallocating them per run; the simulated state
-  /// is identically cold either way (hash-table capacity carries no
-  /// semantics — see cache.hpp's determinism note), so results are
-  /// bit-identical, and off reproduces the rebuild-per-run path exactly.
+  /// memory, so the unperturbed miss path is untouched. A repeated reset
+  /// clears the existing per-processor caches in place — line pools and
+  /// hash tables keep their capacity — instead of reallocating them; the
+  /// simulated state is cold either way (hash-table capacity carries no
+  /// semantics — see cache.hpp's determinism note).
   void reset(const MachineConfig& config, int p,
-             PerturbationModel* pert = nullptr, bool fast_path = true,
-             bool warm = false);
+             PerturbationModel* pert = nullptr);
 
   /// Charges one data access by `proc` at time `t`; returns the new time.
   /// Inline so the engine's per-iteration access loop pays no cross-TU
@@ -61,19 +56,11 @@ class MemorySystem {
   double access(int proc, const BlockAccess& a, double t, MetricsFanout& m) {
     ProcCache& cache = caches_[static_cast<std::size_t>(proc)];
     if (!cache.enabled()) return t;  // cache-less machine: cost in work
-    if (fast_path_) {
-      const ProcCache::Hit h = cache.access_hit_state(a.block);
-      if (h == ProcCache::Hit::kMiss) return miss_path(proc, a, t, m);
-      m.on_hit(proc, a, t);
-      if (!a.write || h == ProcCache::Hit::kExclusive) return t;
-      return write_upgrade(proc, a, t, m, /*resident=*/true);
-    }
-    // Reference path (fast path off): the exact pre-shortcut sequence.
-    if (cache.access_hit(a.block)) {
-      m.on_hit(proc, a, t);
-      return a.write ? write_upgrade(proc, a, t, m, /*resident=*/true) : t;
-    }
-    return miss_path(proc, a, t, m);
+    const ProcCache::Hit h = cache.access_hit_state(a.block);
+    if (h == ProcCache::Hit::kMiss) return miss_path(proc, a, t, m);
+    m.on_hit(proc, a, t);
+    if (!a.write || h == ProcCache::Hit::kExclusive) return t;
+    return write_upgrade(proc, a, t, m, /*resident=*/true);
   }
 
   /// True when the machine models caches at all (capacity > 0). When
@@ -111,7 +98,6 @@ class MemorySystem {
   double transfer_unit_time_ = 0.0;
   double invalidate_time_ = 0.0;
   bool serialized_link_ = true;  // bus/ring serialize; a switch does not
-  bool fast_path_ = true;        // exclusive-residency shortcut enabled
 
   Directory directory_;
   std::vector<ProcCache> caches_;

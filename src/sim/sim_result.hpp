@@ -26,7 +26,7 @@ struct EnginePhaseTimers {
 
   bool collected() const { return total > 0.0; }
 
-  /// Event-heap and engine-control time: everything `total` covers that
+  /// Event-queue and engine-control time: everything `total` covers that
   /// no bracketed phase explains. Meaningful only when collected().
   double event_core_other() const {
     return total - scheduler - work - footprint - memory;

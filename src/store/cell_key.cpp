@@ -66,14 +66,7 @@ CellKey make_cell_key(const MachineConfig& machine,
   key.cacheable = !program_key.empty() && !scheduler_key.empty() &&
                   options.trace == nullptr && !options.time_phases;
 
-  // Fold the deprecated start_delays shim the way MachineSim does, so the
-  // two spellings address the same cell. (Setting both is a construction
-  // error; here the shim simply wins when present.)
-  PerturbationConfig perturb = options.perturb;
-  if (!options.start_delays.empty()) perturb.start_delays = options.start_delays;
-
-  // The engine toggles (batching, memory fast path, calendar queue,
-  // epoch batching) are part of the key even though all are proven
+  // The batching toggle is part of the key even though it is proven
   // bit-identical: tab7's batching A/B invariant check must actually run
   // both engines, not be served the first one's result twice.
   std::ostringstream os;
@@ -85,10 +78,7 @@ CellKey make_cell_key(const MachineConfig& machine,
      << "procs " << procs << '\n'
      << "jitter_seed " << options.jitter_seed << '\n'
      << "batch " << (options.batch_iterations ? 1 : 0) << '\n'
-     << "memfast " << (options.memory_fast_path ? 1 : 0) << '\n'
-     << "calendar " << (options.calendar_queue ? 1 : 0) << '\n'
-     << "epochbatch " << (options.epoch_batch ? 1 : 0) << '\n'
-     << perturb_key(perturb) << '\n';
+     << perturb_key(options.perturb) << '\n';
   key.text = os.str();
   key.hash = fnv1a64(key.text);
   return key;

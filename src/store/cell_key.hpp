@@ -48,10 +48,7 @@ std::string machine_key(const MachineConfig& machine);
 std::string perturb_key(const PerturbationConfig& perturb);
 
 /// Builds the key for one cell. `program_key` is LoopProgram::key;
-/// `scheduler_key` is the scheduler's spec string or caller tag. The
-/// legacy SimOptions::start_delays shim is folded into the perturbation
-/// delays exactly as MachineSim's constructor folds it, so both spellings
-/// of the Table 2 experiment share one cell.
+/// `scheduler_key` is the scheduler's spec string or caller tag.
 CellKey make_cell_key(const MachineConfig& machine,
                       const std::string& program_key,
                       const std::string& scheduler_key, int procs,

@@ -21,74 +21,55 @@ namespace afs {
 namespace {
 
 constexpr const char* kStoreSchema = "afs-store-v2";
-constexpr const char* kStoreSchemaV1 = "afs-store-v1";
-
-/// The checksummed body of an entry: everything after the crc32c line.
-std::string entry_body(const std::string& key_text,
-                       const std::string& payload) {
-  std::ostringstream os;
-  os << "keybytes " << key_text.size() << '\n' << key_text << payload;
-  return os.str();
-}
-
-std::string crc_line(const std::string& body) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "crc32c %08x", crc32c(body));
-  return buf;
-}
 
 std::string entry_content(const CellKey& key, const SimResult& r) {
-  const std::string body = entry_body(key.text, serialize_sim_result(r));
-  std::ostringstream os;
-  os << kStoreSchema << '\n' << crc_line(body) << '\n' << body;
-  return os.str();
+  // The crc32c line checksums everything after it.
+  std::ostringstream body;
+  body << "keybytes " << key.text.size() << '\n'
+       << key.text << serialize_sim_result(r);
+  char crc[24];
+  std::snprintf(crc, sizeof crc, "crc32c %08x", crc32c(body.str()));
+  return std::string(kStoreSchema) + '\n' + crc + '\n' + body.str();
 }
 
 /// The structural fields of an entry, independent of which CellKey the
 /// caller is looking for — what verify() needs, and what load()'s
 /// authentication is built from.
 struct ParsedEntry {
-  bool v1 = false;          ///< legacy entry without a checksum
-  std::string key_text;     ///< the embedded CellKey::text
-  std::string payload;      ///< the serialized SimResult
-  SimResult result;         ///< payload, parsed
+  std::string key_text;  ///< the embedded CellKey::text
+  SimResult result;      ///< the parsed payload
 };
 
-/// Parses and self-validates an entry: schema, crc (v2), keybytes
-/// framing, payload parse. Key *authentication* against a lookup key is
+/// Parses and self-validates an entry: schema, crc, keybytes framing,
+/// payload parse. Key *authentication* against a lookup key is
 /// the caller's job — verify() has no lookup key and checks the filename
 /// hash instead.
 bool parse_entry_fields(const std::string& content, ParsedEntry& out) {
   std::size_t pos = content.find('\n');
   if (pos == std::string::npos) return false;
-  const bool v2 = content.compare(0, pos, kStoreSchema) == 0;
-  if (!v2 && content.compare(0, pos, kStoreSchemaV1) != 0) return false;
-  out.v1 = !v2;
+  if (content.compare(0, pos, kStoreSchema) != 0) return false;
   ++pos;
 
-  if (v2) {
-    // crc32c <8 hex> over everything after this line.
-    const std::size_t eol = content.find('\n', pos);
-    if (eol == std::string::npos) return false;
-    const std::string line = content.substr(pos, eol - pos);
-    constexpr const char* kCrc = "crc32c ";
-    if (line.rfind(kCrc, 0) != 0) return false;
-    const std::string hexv = line.substr(std::string(kCrc).size());
-    char* end = nullptr;
-    const unsigned long long want = std::strtoull(hexv.c_str(), &end, 16);
-    if (hexv.size() != 8 || end != hexv.c_str() + 8) return false;
-    pos = eol + 1;
-    if (crc32c(content.data() + pos, content.size() - pos) !=
-        static_cast<std::uint32_t>(want))
-      return false;
-  }
+  // crc32c <8 hex> over everything after this line.
+  std::size_t eol = content.find('\n', pos);
+  if (eol == std::string::npos) return false;
+  const std::string crc = content.substr(pos, eol - pos);
+  constexpr const char* kCrc = "crc32c ";
+  if (crc.rfind(kCrc, 0) != 0) return false;
+  const std::string hexv = crc.substr(std::string(kCrc).size());
+  char* end = nullptr;
+  const unsigned long long want = std::strtoull(hexv.c_str(), &end, 16);
+  if (hexv.size() != 8 || end != hexv.c_str() + 8) return false;
+  pos = eol + 1;
+  if (crc32c(content.data() + pos, content.size() - pos) !=
+      static_cast<std::uint32_t>(want))
+    return false;
 
-  const std::size_t eol = content.find('\n', pos);
+  eol = content.find('\n', pos);
   if (eol == std::string::npos) return false;
   const std::string header = content.substr(pos, eol - pos);
   constexpr const char* kKeyBytes = "keybytes ";
   if (header.rfind(kKeyBytes, 0) != 0) return false;
-  char* end = nullptr;
   const std::string count = header.substr(std::string(kKeyBytes).size());
   const long long n = std::strtoll(count.c_str(), &end, 10);
   if (end == count.c_str() || *end != '\0' || n < 0) return false;
@@ -97,8 +78,7 @@ bool parse_entry_fields(const std::string& content, ParsedEntry& out) {
   if (content.size() - pos < static_cast<std::size_t>(n)) return false;
   out.key_text = content.substr(pos, static_cast<std::size_t>(n));
   pos += static_cast<std::size_t>(n);
-  out.payload = content.substr(pos);
-  return parse_sim_result(out.payload, out.result);
+  return parse_sim_result(content.substr(pos), out.result);
 }
 
 /// Parses an entry and authenticates it against `key`. Any malformation —
@@ -353,30 +333,12 @@ ScrubOutcome ResultStore::verify() {
       continue;
     }
 
-    if (e.v1) {
-      // Clean legacy entry: rewrite with a checksum so the whole store
-      // converges to v2 without invalidating anything. Same atomic
-      // protocol as save(); the rewrite refreshes mtime, which is fair —
-      // the scrub just touched it.
-      const std::string body = entry_body(e.key_text, e.payload);
-      const std::string tmp = unique_tmp_path(p.string());
-      {
-        std::ofstream outf(tmp, std::ios::binary | std::ios::trunc);
-        if (!outf.good()) continue;
-        outf << kStoreSchema << '\n' << crc_line(body) << '\n' << body;
-        outf.flush();
-        if (!outf.good()) continue;
-      }
-      commit_file_atomic(tmp, p.string());
-      ++out.upgraded;
-    } else {
-      const auto mtime = fs::last_write_time(p, ec);
-      if (!ec && mtime > future_cutoff) {
-        // A future-dated entry would survive every age pass and sort
-        // last in the LRU — clamp it so gc() ordering means something.
-        fs::last_write_time(p, now, ec);
-        if (!ec) ++out.mtime_repaired;
-      }
+    const auto mtime = fs::last_write_time(p, ec);
+    if (!ec && mtime > future_cutoff) {
+      // A future-dated entry would survive every age pass and sort last
+      // in the LRU — clamp it so gc() ordering means something.
+      fs::last_write_time(p, now, ec);
+      if (!ec) ++out.mtime_repaired;
     }
     ++out.ok;
   }

@@ -16,9 +16,9 @@
 //     <N bytes: the full CellKey::text>
 //     <serialize_sim_result() output, schema afs-cell-v1>
 //
-// v1 entries (same layout without the crc32c line) are still readable;
-// verify() rewrites them with a checksum in place, so a scrub migrates an
-// old store without a flag day.
+// Any other first line — including the pre-checksum afs-store-v1 schema,
+// whose entries carried no crc32c line — is unreadable: load() misses and
+// quarantines the file, as it does any corrupt entry.
 //
 // Trust model: the hash only locates the entry; the embedded key text is
 // what authenticates it, and the CRC32C line detects payload corruption
@@ -82,7 +82,6 @@ struct ScrubOutcome {
   std::int64_t scanned = 0;         ///< entries examined
   std::int64_t ok = 0;              ///< entries that verified clean
   std::int64_t corrupt = 0;         ///< quarantined (bad crc/key/payload)
-  std::int64_t upgraded = 0;        ///< v1 entries rewritten as v2
   std::int64_t tmp_removed = 0;     ///< orphaned temp files deleted
   std::int64_t mtime_repaired = 0;  ///< future-dated mtimes clamped to now
 
@@ -132,10 +131,9 @@ class ResultStore {
   GcOutcome gc(const GcOptions& opts) const;
 
   /// Scrubs the whole store (`afs_sweep cache verify`): every entry is
-  /// read and checked — crc (v2), filename-vs-embedded-key address, and
+  /// read and checked — schema, crc, filename-vs-embedded-key address, and
   /// payload parse — with corrupt entries quarantined exactly as load()
-  /// would have done on first touch. Clean v1 entries are rewritten as
-  /// checksummed v2 entries in place (atomic rename). LRU metadata is
+  /// would have done on first touch. LRU metadata is
   /// repaired on the way: orphaned `.tmp.` files older than a minute are
   /// removed, and entries whose mtime lies in the future (clock skew,
   /// restored backups) are clamped to now so gc()'s age/LRU ordering

@@ -1,34 +1,11 @@
 #include "trace/json_export.hpp"
 
-#include <cstdio>
 #include <sstream>
+
+#include "util/json_quote.hpp"
 
 namespace afs {
 namespace {
-
-// Machine and program names are caller-supplied, so escape what JSON
-// cannot carry raw; every other byte passes through.
-std::string escaped(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string num(double v) {
   std::ostringstream os;
@@ -36,8 +13,6 @@ std::string num(double v) {
   os << v;
   return os.str();
 }
-
-std::string str(const std::string& s) { return '"' + escaped(s) + '"'; }
 
 std::string integer(std::int64_t v) { return std::to_string(v); }
 
@@ -53,9 +28,9 @@ std::string to_jsonl(const TraceRecord& r) {
   };
   switch (r.ev) {
     case TraceEv::kRunBegin:
-      field("machine", str(r.machine));
-      field("program", str(r.program));
-      field("scheduler", str(r.scheduler));
+      field("machine", json_quote(r.machine));
+      field("program", json_quote(r.program));
+      field("scheduler", json_quote(r.scheduler));
       field("p", integer(r.p));
       break;
     case TraceEv::kLoopBegin:

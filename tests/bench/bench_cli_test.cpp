@@ -158,17 +158,19 @@ TEST(BenchCli, DefaultsLeaveEngineTogglesAlone) {
   ASSERT_TRUE(p.ok);
   EXPECT_FALSE(p.cli.time_phases);
   EXPECT_FALSE(p.cli.no_batch);
-  EXPECT_FALSE(p.cli.no_memory_fast_path);
   EXPECT_EQ(p.cli.cell_retries, -1);  // -1 = keep SweepOptions default
 }
 
 TEST(BenchCli, ParsesEngineToggles) {
-  const Parse p =
-      parse({"--time-phases", "--no-batch", "--no-memory-fast-path"});
+  const Parse p = parse({"--time-phases", "--no-batch"});
   ASSERT_TRUE(p.ok);
   EXPECT_TRUE(p.cli.time_phases);
   EXPECT_TRUE(p.cli.no_batch);
-  EXPECT_TRUE(p.cli.no_memory_fast_path);
+  // The engine has one event queue, one memory hit path and always reuses
+  // a warm simulator: the flags that once switched those off are unknown.
+  for (const char* gone :
+       {"--no-memory-fast-path", "--no-calendar-queue", "--no-epoch-batch"})
+    EXPECT_FALSE(parse({gone}).ok) << gone;
 }
 
 TEST(BenchCli, ParsesCellRetries) {

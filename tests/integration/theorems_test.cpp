@@ -79,8 +79,8 @@ TEST(Theorem32, KEqualsPFinishWithinOneIterationDespiteDelay) {
   const std::int64_t n = 100000;
   const int p = 8;
   SimOptions opts;
-  opts.start_delays = {0.0, 0.0, 0.0, static_cast<double>(n) / 16, 0.0,
-                       0.0, 0.0, 0.0};
+  opts.perturb.start_delays = {
+      0.0, 0.0, 0.0, static_cast<double>(n) / 16, 0.0, 0.0, 0.0, 0.0};
   MachineSim sim(clean_machine(), opts);
   auto sched = std::make_unique<AffinityScheduler>();
   const SimResult r = sim.run(balanced_program(n), *sched, p);
@@ -99,7 +99,7 @@ TEST(Theorem32, SmallKSuffersMoreImbalance) {
   const std::int64_t n = 100000;
   const int p = 8;
   SimOptions opts;
-  opts.start_delays = {static_cast<double>(n) / 8};
+  opts.perturb.start_delays = {static_cast<double>(n) / 8};
   MachineSim sim(clean_machine(), opts);
 
   AffinityOptions ok2;

@@ -182,19 +182,18 @@ TEST(Adapt, ChunkTrajectoryIsGoldenOnGauss) {
   // The full decision sequence of ADAPT on a fixed cell, golden-pinned:
   // any engine change that perturbs feedback timing or ordering shows up
   // here as a changed trajectory, not as a silent perf drift.
-  const auto run_history = [](bool batch, bool calendar) {
+  const auto run_history = [](bool batch) {
     MachineConfig m = iris();
     m.epoch_jitter = 0.0;
     SimOptions opts;
     opts.batch_iterations = batch;
-    opts.calendar_queue = calendar;
     AdaptScheduler s;
     MachineSim sim(m, opts);
     const LoopProgram prog = GaussKernel::program(24);
     (void)sim.run(prog, s, 4);
     return s.chunk_history();
   };
-  const std::vector<std::int64_t> history = run_history(true, true);
+  const std::vector<std::int64_t> history = run_history(true);
   // Gauss(24) runs 23 epochs of a shrinking loop on P=4; this is the
   // complete grant sequence (regenerate with this test's run_history if
   // the *cost model* legitimately changes — never to paper over an
@@ -209,9 +208,7 @@ TEST(Adapt, ChunkTrajectoryIsGoldenOnGauss) {
       1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1};
   EXPECT_EQ(history, golden);
   // And the trajectory is an engine invariant, not a mode artifact.
-  EXPECT_EQ(run_history(false, false), history);
-  EXPECT_EQ(run_history(true, false), history);
-  EXPECT_EQ(run_history(false, true), history);
+  EXPECT_EQ(run_history(false), history);
 }
 
 TEST(Workshare, OverloadedProcessorPushesToIdlest) {

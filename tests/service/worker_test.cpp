@@ -97,7 +97,7 @@ TEST(WorkerPool, CellResultsAreBitIdenticalToInProcess) {
   for (const std::string label : {"SS", "GSS", "AFS"})
     for (int p : {1, 2, 4}) {
       const SimResult sandboxed = pool.execute(
-          small_grid_spec(), label, p, EngineToggles{false, true}, token);
+          small_grid_spec(), label, p, EngineToggles{false}, token);
       EXPECT_EQ(serialize_sim_result(sandboxed),
                 serialize_sim_result(in_process_cell(label, p)))
           << label << " P=" << p;
@@ -118,16 +118,16 @@ TEST(WorkerPool, BadRecipesFailStructurallyWithoutKillingWorkers) {
   const CancelToken token;
 
   // Unknown scheduler label: the worker reports it; the worker survives.
-  EXPECT_THROW(pool.execute(small_grid_spec(), "NOT-A-SCHEDULER", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "NOT-A-SCHEDULER", 2, EngineToggles{false}, token),
                std::runtime_error);
   // P beyond the machine: same.
-  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 10'000, EngineToggles{false, true},
+  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 10'000, EngineToggles{false},
                             token),
                std::runtime_error);
   // Unknown registered experiment id: same.
   CellExecSpec unknown;
   unknown.experiment = "no-such-experiment";
-  EXPECT_THROW(pool.execute(unknown, "SS", 1, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(unknown, "SS", 1, EngineToggles{false}, token),
                std::runtime_error);
 
   const WorkerPoolStats s = pool.stats();
@@ -136,7 +136,7 @@ TEST(WorkerPool, BadRecipesFailStructurallyWithoutKillingWorkers) {
 
   // And the same worker still executes real cells afterwards.
   EXPECT_EQ(serialize_sim_result(
-                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false, true}, token)),
+                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false}, token)),
             serialize_sim_result(in_process_cell("SS", 1)));
 }
 
@@ -148,7 +148,7 @@ TEST(WorkerPool, CrashIsClassifiedAndTheWorkerReplaced) {
   const CancelToken token;
 
   try {
-    pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token);
+    pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token);
     FAIL() << "crashing cell must throw";
   } catch (const PoisonedCellError&) {
     FAIL() << "first crash is a strike, not a quarantine";
@@ -163,7 +163,7 @@ TEST(WorkerPool, CrashIsClassifiedAndTheWorkerReplaced) {
 
   // The supervisor respawns on demand; a healthy cell goes through.
   EXPECT_EQ(serialize_sim_result(
-                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false, true}, token)),
+                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false}, token)),
             serialize_sim_result(in_process_cell("SS", 1)));
   s = pool.stats();
   EXPECT_EQ(s.live, 1);
@@ -180,17 +180,17 @@ TEST(WorkerPool, RepeatOffenderIsQuarantinedAsPoison) {
   const CancelToken token;
 
   // Strikes 1 and 2 are transient crashes; strike 3 quarantines.
-  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token),
                std::runtime_error);
-  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token),
                std::runtime_error);
-  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token),
                PoisonedCellError);
   EXPECT_EQ(pool.stats().crashes, 3);
 
   // Blacklisted for the pool's lifetime: answered without burning another
   // worker, under the stable cell id.
-  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token),
                PoisonedCellError);
   EXPECT_EQ(pool.stats().crashes, 3);
   EXPECT_EQ(pool.stats().poisoned, 1);
@@ -201,7 +201,7 @@ TEST(WorkerPool, RepeatOffenderIsQuarantinedAsPoison) {
 
   // The quarantine is per-cell: its neighbours still execute.
   EXPECT_EQ(serialize_sim_result(
-                pool.execute(small_grid_spec(), "GSS", 4, EngineToggles{false, true}, token)),
+                pool.execute(small_grid_spec(), "GSS", 4, EngineToggles{false}, token)),
             serialize_sim_result(in_process_cell("GSS", 4)));
 }
 
@@ -217,9 +217,9 @@ TEST(WorkerPool, ExhaustedRestartBudgetDegradesToCacheOnly) {
   EXPECT_FALSE(pool.degraded());
 
   // The crash takes the only worker; the empty bucket refuses a respawn.
-  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "GSS", 2, EngineToggles{false}, token),
                std::runtime_error);
-  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false}, token),
                DegradedError);
 
   EXPECT_TRUE(pool.degraded());
@@ -235,7 +235,7 @@ TEST(WorkerPool, PreCancelledTokenNeverReachesAWorker) {
 
   CancelToken token;
   token.cancel();
-  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false}, token),
                CancelledError);
   const WorkerPoolStats s = pool.stats();
   EXPECT_EQ(s.crashes, 0);
@@ -258,7 +258,7 @@ TEST(WorkerPool, DeadlineKillsTheWorkerWithoutAStrike) {
 
   CancelToken token;
   token.set_timeout(0.05);
-  EXPECT_THROW(pool.execute(slow, "SS", 1, EngineToggles{false, true}, token),
+  EXPECT_THROW(pool.execute(slow, "SS", 1, EngineToggles{false}, token),
                CancelledError);
 
   WorkerPoolStats s = pool.stats();
@@ -270,7 +270,7 @@ TEST(WorkerPool, DeadlineKillsTheWorkerWithoutAStrike) {
   // an empty-looking budget.
   const CancelToken fresh;
   EXPECT_EQ(serialize_sim_result(
-                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false, true}, fresh)),
+                pool.execute(small_grid_spec(), "SS", 1, EngineToggles{false}, fresh)),
             serialize_sim_result(in_process_cell("SS", 1)));
 }
 

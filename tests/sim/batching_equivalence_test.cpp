@@ -1,10 +1,9 @@
-// Randomized property test for the horizon-batched execution path and the
-// MemorySystem exclusive-residency fast path: for footprint-carrying loops
-// the engine must produce bit-identical SimResults with batching on or off
-// and with the fast path on or off, on every machine model and scheduler,
-// with and without injected faults. The reference point is always the
-// fully-disabled configuration (no batching, no fast path) — the plain
-// per-iteration / full-MSI engine.
+// Randomized property test for the horizon-batched execution path: for
+// footprint-carrying loops the engine must produce bit-identical
+// SimResults with batching on or off, on every machine model and
+// scheduler, with and without injected faults. The reference point is the
+// unbatched configuration — the plain per-iteration engine. (The memory
+// system's hit path has its own oracle: memory_oracle_test.cpp.)
 //
 // Programs and processor counts are drawn from a fixed-seed RNG so the
 // test sweeps a different-but-reproducible corner of the space on every
@@ -33,12 +32,10 @@ MachineConfig quiet(MachineConfig m) {
 }
 
 SimResult run_one(const MachineConfig& m, const LoopProgram& prog,
-                  const std::string& spec, int p, bool batch, bool fast,
-                  const PerturbationConfig* pc, bool calendar = true) {
+                  const std::string& spec, int p, bool batch,
+                  const PerturbationConfig* pc) {
   SimOptions opts;
   opts.batch_iterations = batch;
-  opts.memory_fast_path = fast;
-  opts.calendar_queue = calendar;
   if (pc != nullptr) opts.perturb = *pc;
   MachineSim sim(m, opts);
   auto sched = make_scheduler(spec);
@@ -67,28 +64,16 @@ void expect_identical(const SimResult& a, const SimResult& b,
   EXPECT_EQ(a.abandoned_iterations, b.abandoned_iterations) << label;
 }
 
-/// Runs the engine configurations and checks the optimized ones against
-/// the fully-disabled reference: no batching, no fast path, and the
-/// reference binary-heap event queue instead of the calendar ring.
+/// Runs the batched engine and checks it against the unbatched reference.
 void check_all_modes(const MachineConfig& m, const LoopProgram& prog,
                      const std::string& spec, int p, const std::string& label,
                      const PerturbationConfig* pc = nullptr) {
-  const SimResult ref =
-      run_one(m, prog, spec, p, false, false, pc, /*calendar=*/false);
-  expect_identical(ref, run_one(m, prog, spec, p, true, false, pc),
-                   label + " [batch]");
-  expect_identical(ref, run_one(m, prog, spec, p, false, true, pc),
-                   label + " [fastpath]");
-  expect_identical(ref, run_one(m, prog, spec, p, true, true, pc),
-                   label + " [batch+fastpath]");
-  expect_identical(ref,
-                   run_one(m, prog, spec, p, true, true, pc,
-                           /*calendar=*/false),
-                   label + " [batch+fastpath, heap queue]");
+  expect_identical(run_one(m, prog, spec, p, false, pc),
+                   run_one(m, prog, spec, p, true, pc), label + " [batch]");
 }
 
 /// A random footprint-carrying program: gauss and SOR touch real blocks
-/// (so the memory fast path is on the hot path); the synthetic shapes are
+/// (so the memory system is on the hot path); the synthetic shapes are
 /// footprint-free (so the coalescing branch stays covered too).
 LoopProgram random_program(std::mt19937& rng) {
   switch (std::uniform_int_distribution<int>(0, 3)(rng)) {
@@ -127,7 +112,7 @@ TEST(BatchingEquivalence, RandomProgramsAllMachinesAllSchedulers) {
 TEST(BatchingEquivalence, AdaptiveSchedulersAllMachines) {
   // The feedback channel (Scheduler::report) fires at chunk-completion
   // boundaries that both engine modes visit at identical clocks, so the
-  // adaptive schedulers must be bit-identical across every toggle too —
+  // adaptive schedulers must be bit-identical batched or not too —
   // even though their next() decisions depend on earlier report() calls.
   std::mt19937 rng(0xADA9u);
   const std::vector<MachineConfig> machines = {
@@ -155,16 +140,16 @@ TEST(BatchingEquivalence, HighProcessorCountOnKsr1) {
 }
 
 TEST(BatchingEquivalence, EpochBatchWarmReuseMatchesColdRuns) {
-  // epoch_batch (SimOptions, default on) lets one MachineSim carry its
-  // warmed allocations — event ring, per-processor caches, scratch —
-  // across run() calls, the sweep runner's multi-run steady state. The
+  // One MachineSim carries its warmed allocations — event ring,
+  // per-processor caches, scratch — across run() calls, the sweep
+  // runner's multi-run steady state (warm_machine_sim). The
   // simulated state must still start cold every run: a warmed sim's Nth
   // run must be bit-identical to a cold sim's only run for the same cell,
   // even as the program, scheduler, and processor count change between
   // rounds (shrinking and regrowing the cache array in place).
   std::mt19937 rng(0xE90Cu);
   const MachineConfig m = quiet(ksr1());
-  SimOptions opts;  // defaults: batching, fast path, calendar, epoch_batch
+  SimOptions opts;  // defaults: batching on
   MachineSim warm(m, opts);
   std::vector<std::string> specs = paper_scheduler_specs();
   for (const std::string& s : adaptive_scheduler_specs()) specs.push_back(s);

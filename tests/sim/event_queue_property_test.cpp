@@ -1,16 +1,18 @@
-// Randomized equivalence test for the two EventCore representations: the
-// calendar ring (default) and the reference binary heap must drain
-// bit-identical (time, processor) sequences through millions of mixed
-// operations — push, fused push_pop, pop — including duplicate
-// timestamps, exact (time, proc) duplicates, fault-aware resets, and
-// cancellation polls. This is the test the calendar queue's correctness
-// leans on (src/sim/event_core.hpp); the heap path is kept verbatim from
-// the pre-calendar engine precisely so it can serve as the oracle here.
+// Randomized equivalence test for EventCore's calendar ring against a
+// binary-heap oracle: both must drain bit-identical (time, processor)
+// sequences through millions of mixed operations — push, fused push_pop,
+// pop — including duplicate timestamps, exact (time, proc) duplicates and
+// fault-aware resets. This is the test the calendar queue's correctness
+// leans on (src/sim/event_core.hpp). The oracle is the pre-calendar
+// std::*_heap event queue, kept here verbatim so it can serve as the
+// reference.
 #include "sim/event_core.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <vector>
 
@@ -19,17 +21,86 @@
 namespace afs {
 namespace {
 
-/// Drives the same operation stream through both representations and
-/// asserts every observable — pop results, push_pop results, size, top,
-/// leads — stays identical. Returns the number of operations executed so
-/// callers can assert coverage.
-class LockstepDriver {
+/// The reference event queue: a binary min-heap under (time, processor-id)
+/// order, with the same interface and tie-break contract as EventCore.
+class HeapEventQueue {
  public:
-  LockstepDriver() {
-    cal_.set_calendar(true);
-    heap_.set_calendar(false);
+  using Event = EventCore::Event;
+
+  void reset(const std::vector<double>& start) {
+    heap_.clear();
+    heap_.reserve(start.size());
+    for (std::size_t i = 0; i < start.size(); ++i)
+      heap_.emplace_back(start[i], static_cast<int>(i));
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
   }
 
+  void reset(const std::vector<double>& start, const std::vector<char>& alive) {
+    heap_.clear();
+    heap_.reserve(start.size());
+    for (std::size_t i = 0; i < start.size(); ++i)
+      if (alive[i]) heap_.emplace_back(start[i], static_cast<int>(i));
+    std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  bool empty() const { return heap_.empty(); }
+  std::size_t size() const { return heap_.size(); }
+
+  Event pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const Event e = heap_.back();
+    heap_.pop_back();
+    return e;
+  }
+
+  void push(double t, int proc) {
+    heap_.emplace_back(t, proc);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+
+  Event push_pop(double t, int proc) {
+    const Event e(t, proc);
+    if (heap_.empty() || !(heap_.front() < e)) return e;
+    const Event out = heap_.front();
+    sift_down_from_root(e);
+    return out;
+  }
+
+  bool leads(double t, int proc) const {
+    if (empty()) return true;
+    const Event& front = top();
+    return t < front.first || (t == front.first && proc < front.second);
+  }
+
+  const Event& top() const { return heap_.front(); }
+
+ private:
+  /// Places `e` at the root and restores min-heap order top-down,
+  /// maintaining the same parent<=child invariant the std::*_heap calls
+  /// keep (min-heap under operator<).
+  void sift_down_from_root(const Event& e) {
+    std::size_t i = 0;
+    const std::size_t n = heap_.size();
+    for (;;) {
+      std::size_t c = 2 * i + 1;
+      if (c >= n) break;
+      if (c + 1 < n && heap_[c + 1] < heap_[c]) ++c;
+      if (!(heap_[c] < e)) break;
+      heap_[i] = heap_[c];
+      i = c;
+    }
+    heap_[i] = e;
+  }
+
+  std::vector<Event> heap_;
+};
+
+/// Drives the same operation stream through the calendar ring and the
+/// heap oracle and asserts every observable — pop results, push_pop
+/// results, size, top, leads — stays identical. Returns the number of
+/// operations executed so callers can assert coverage.
+class LockstepDriver {
+ public:
   void reset(const std::vector<double>& start) {
     cal_.reset(start);
     heap_.reset(start);
@@ -81,9 +152,6 @@ class LockstepDriver {
   bool empty() const { return cal_.empty(); }
   std::int64_t ops() const { return ops_; }
 
-  EventCore& calendar() { return cal_; }
-  EventCore& heap() { return heap_; }
-
  private:
   void check_tops() {
     ASSERT_EQ(cal_.size(), heap_.size());
@@ -93,7 +161,7 @@ class LockstepDriver {
   }
 
   EventCore cal_;
-  EventCore heap_;
+  HeapEventQueue heap_;
   std::int64_t ops_ = 0;
 };
 
@@ -108,12 +176,12 @@ TEST(EventQueueProperty, CalendarMatchesHeapOverMillionMixedOps) {
   std::mt19937_64 rng(0xCA1E0DA5ULL);  // fixed seed: failures replay exactly
   LockstepDriver d;
 
-  // Many short epochs: each epoch resets both cores (alternating between
+  // Many short epochs: each epoch resets both queues (alternating between
   // the plain and the fault-aware reset), then runs a randomized mix of
   // operations whose time base creeps forward like a real simulation's
   // clock but frequently ties and occasionally regresses.
   const int kEpochs = 64;
-  const int kOpsPerEpoch = 16000;  // 64 * 16000 > 1M ops through each core
+  const int kOpsPerEpoch = 16000;  // 64 * 16000 > 1M ops through each queue
   for (int epoch = 0; epoch < kEpochs; ++epoch) {
     const int p = std::uniform_int_distribution<int>(1, 48)(rng);
     std::vector<double> start(static_cast<std::size_t>(p));
@@ -163,68 +231,68 @@ TEST(EventQueueProperty, CalendarMatchesHeapOverMillionMixedOps) {
   EXPECT_GT(d.ops(), 1000000) << "op budget under-delivered; raise kOpsPerEpoch";
 }
 
-TEST(EventQueueProperty, TieBoundaryAtTopTime) {
-  // Satellite regression for the push_pop / leads() tie-break parity at
-  // the t == top().first boundary (see the push_pop doc comment): a
-  // processor tying the front's time must keep running iff its id is
-  // lower, identically in both representations.
-  for (const bool calendar : {true, false}) {
-    EventCore q;
-    q.set_calendar(calendar);
-    q.reset({10.0, 10.0, 20.0});  // front is (10, 0)
+/// The push_pop / leads() tie-break parity at the t == top().first
+/// boundary (see EventCore::push_pop's doc comment), on any queue with
+/// EventCore's interface.
+template <typename Queue>
+void check_tie_boundary() {
+  Queue q;
+  q.reset({10.0, 10.0, 20.0});  // front is (10, 0)
 
-    // Lower id at the front's exact time: still leads, keeps its event.
-    EXPECT_TRUE(q.leads(10.0, -1));
-    // Same time, higher id than the front: must yield.
-    EXPECT_FALSE(q.leads(10.0, 1));
-    EXPECT_FALSE(q.leads(10.0, 5));
-    // Strictly earlier always leads; strictly later never does.
-    EXPECT_TRUE(q.leads(9.75, 99));
-    EXPECT_FALSE(q.leads(10.25, -1));
+  // Lower id at the front's exact time: still leads, keeps its event.
+  EXPECT_TRUE(q.leads(10.0, -1));
+  // Same time, higher id than the front: must yield.
+  EXPECT_FALSE(q.leads(10.0, 1));
+  EXPECT_FALSE(q.leads(10.0, 5));
+  // Strictly earlier always leads; strictly later never does.
+  EXPECT_TRUE(q.leads(9.75, 99));
+  EXPECT_FALSE(q.leads(10.25, -1));
 
-    // push_pop at the exact front time with a higher id swaps: the front
-    // (10, 0) comes out, (10, 2) queues behind (10, 1).
-    EXPECT_EQ(q.push_pop(10.0, 2), EventCore::Event(10.0, 0));
-    EXPECT_EQ(q.top(), EventCore::Event(10.0, 1));
-    // ...and with an id below the new front, the caller keeps its event.
-    EXPECT_EQ(q.push_pop(10.0, 0), EventCore::Event(10.0, 0));
-    EXPECT_EQ(q.top(), EventCore::Event(10.0, 1));
+  // push_pop at the exact front time with a higher id swaps: the front
+  // (10, 0) comes out, (10, 2) queues behind (10, 1).
+  EXPECT_EQ(q.push_pop(10.0, 2), EventCore::Event(10.0, 0));
+  EXPECT_EQ(q.top(), EventCore::Event(10.0, 1));
+  // ...and with an id below the new front, the caller keeps its event.
+  EXPECT_EQ(q.push_pop(10.0, 0), EventCore::Event(10.0, 0));
+  EXPECT_EQ(q.top(), EventCore::Event(10.0, 1));
 
-    // Exact (time, proc) duplicate of the front: keep-or-swap is
-    // unobservable; push_pop must return the identical event either way.
-    EXPECT_EQ(q.push_pop(10.0, 1), EventCore::Event(10.0, 1));
+  // Exact (time, proc) duplicate of the front: keep-or-swap is
+  // unobservable; push_pop must return the identical event either way.
+  EXPECT_EQ(q.push_pop(10.0, 1), EventCore::Event(10.0, 1));
 
-    // Remaining population drains in (time, id) order.
-    EXPECT_EQ(q.pop(), EventCore::Event(10.0, 1));
-    EXPECT_EQ(q.pop(), EventCore::Event(10.0, 2));
-    EXPECT_EQ(q.pop(), EventCore::Event(20.0, 2));
-    EXPECT_TRUE(q.empty());
-  }
+  // Remaining population drains in (time, id) order.
+  EXPECT_EQ(q.pop(), EventCore::Event(10.0, 1));
+  EXPECT_EQ(q.pop(), EventCore::Event(10.0, 2));
+  EXPECT_EQ(q.pop(), EventCore::Event(20.0, 2));
+  EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueueProperty, CancellationPollsFireOnBothRepresentations) {
-  for (const bool calendar : {true, false}) {
-    EventCore q;
-    q.set_calendar(calendar);
-    CancelToken token;
-    q.set_cancel(&token);
-    q.reset({1.0, 2.0});
-    EXPECT_EQ(q.pop(), EventCore::Event(1.0, 0));  // token idle: pops work
-    token.cancel();
-    EXPECT_THROW(q.pop(), CancelledError);
-    EXPECT_THROW(q.push_pop(3.0, 0), CancelledError);
-    // The queue itself is untouched by the refused operations...
-    EXPECT_EQ(q.size(), 1u);
-    q.set_cancel(nullptr);  // ...and detaching the token unblocks it.
-    EXPECT_EQ(q.pop(), EventCore::Event(2.0, 1));
-  }
+TEST(EventQueueProperty, TieBoundaryAtTopTime) {
+  // A processor tying the front's time must keep running iff its id is
+  // lower — in the calendar ring and in the oracle alike.
+  check_tie_boundary<EventCore>();
+  check_tie_boundary<HeapEventQueue>();
+}
+
+TEST(EventQueueProperty, CancellationPollsFireOnPopAndPushPop) {
+  EventCore q;
+  CancelToken token;
+  q.set_cancel(&token);
+  q.reset({1.0, 2.0});
+  EXPECT_EQ(q.pop(), EventCore::Event(1.0, 0));  // token idle: pops work
+  token.cancel();
+  EXPECT_THROW(q.pop(), CancelledError);
+  EXPECT_THROW(q.push_pop(3.0, 0), CancelledError);
+  // The queue itself is untouched by the refused operations...
+  EXPECT_EQ(q.size(), 1u);
+  q.set_cancel(nullptr);  // ...and detaching the token unblocks it.
+  EXPECT_EQ(q.pop(), EventCore::Event(2.0, 1));
 }
 
 TEST(EventQueueProperty, RingGrowsPastResetPopulation) {
   // The engine never pushes beyond one event per processor, but push() is
   // public API: growing the ring mid-stream must preserve order.
   EventCore q;
-  q.set_calendar(true);
   q.reset({5.0});
   for (int i = 0; i < 100; ++i)
     q.push(4.0 + 0.01 * i, i + 1);  // all earlier than the reset event

@@ -131,7 +131,7 @@ TEST(MachineSim, BarrierCostPerEpoch) {
 TEST(MachineSim, DelayedStartShiftsCompletion) {
   MachineSim sim_base(ideal_machine());
   SimOptions delayed;
-  delayed.start_delays = {0.0, 500.0};
+  delayed.perturb.start_delays = {0.0, 500.0};
   MachineSim sim_delayed(ideal_machine(), delayed);
   const auto prog = balanced_program(1000);
   auto s1 = make_scheduler("STATIC");
@@ -146,7 +146,7 @@ TEST(MachineSim, DynamicSchedulerAbsorbsDelayBetter) {
   // The §4.5 premise: with GSS, a delayed processor's work is picked up by
   // the others, so the delay costs far less than under STATIC.
   SimOptions delayed;
-  delayed.start_delays = {0.0, 400.0};
+  delayed.perturb.start_delays = {0.0, 400.0};
   MachineSim sim(ideal_machine(), delayed);
   const auto prog = balanced_program(1000);
   auto st = make_scheduler("STATIC");

@@ -138,13 +138,6 @@ TEST(PerturbationConfig, ValidateRejectsBadValues) {
   }
 }
 
-TEST(SimOptions, RejectsBothDelayMechanisms) {
-  SimOptions opts;
-  opts.start_delays = {100.0};
-  opts.perturb.start_delays = {200.0};
-  EXPECT_THROW(MachineSim(quiet(iris()), opts), CheckFailure);
-}
-
 TEST(MachineConfigValidate, RejectsBadConfigs) {
   {
     MachineConfig m = iris();
@@ -168,25 +161,7 @@ TEST(MachineConfigValidate, RejectsBadConfigs) {
   EXPECT_NO_THROW(tc2000().validate());
 }
 
-// --------------------------- start-delay shim ----------------------------
-
-TEST(Perturbation, LegacyStartDelaysShimIsBitIdentical) {
-  // The deprecated SimOptions::start_delays path must produce exactly what
-  // routing the same delays through PerturbationConfig produces.
-  const LoopProgram prog = balanced_program(100000);
-  for (const char* spec : {"AFS", "GSS", "STATIC"}) {
-    SimOptions legacy;
-    legacy.start_delays = {12500.0, 0.0, 0.0, 3000.0};
-    MachineSim sim_legacy(quiet(iris()), legacy);
-    auto s1 = make_scheduler(spec);
-    const SimResult a = sim_legacy.run(prog, *s1, 4);
-
-    PerturbationConfig pc;
-    pc.start_delays = {12500.0, 0.0, 0.0, 3000.0};
-    const SimResult b = run_perturbed(quiet(iris()), prog, spec, 4, pc);
-    expect_identical(a, b, spec);
-  }
-}
+// ----------------------------- start delays ------------------------------
 
 TEST(Perturbation, StartDelayIsChargedToStallTime) {
   PerturbationConfig pc;

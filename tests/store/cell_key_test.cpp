@@ -71,9 +71,9 @@ TEST(CellKey, EveryInputChangesTheHash) {
   nobatch.batch_iterations = false;
   EXPECT_NE(base_key(nobatch).hash, base.hash);
 
-  SimOptions nofast;
-  nofast.memory_fast_path = false;
-  EXPECT_NE(base_key(nofast).hash, base.hash);
+  SimOptions delayed;
+  delayed.perturb.start_delays = {8.0, 0.0, 0.0, 0.0};
+  EXPECT_NE(base_key(delayed).hash, base.hash);
 
   SimOptions perturbed;
   perturbed.perturb.stall_mean_interval = 100.0;
@@ -81,15 +81,13 @@ TEST(CellKey, EveryInputChangesTheHash) {
   EXPECT_NE(base_key(perturbed).hash, base.hash);
 }
 
-TEST(CellKey, LegacyStartDelayShimFoldsIntoPerturbation) {
-  // SimOptions::start_delays and PerturbationConfig::start_delays are two
-  // spellings of the same experiment (Table 2); they must share a cell.
-  SimOptions legacy;
-  legacy.start_delays = {8.0, 0.0, 0.0, 0.0};
-  SimOptions modern;
-  modern.perturb.start_delays = {8.0, 0.0, 0.0, 0.0};
-  EXPECT_EQ(base_key(legacy).hash, base_key(modern).hash);
-  EXPECT_NE(base_key(legacy).hash, base_key().hash);
+TEST(CellKey, BatchingIsTheOnlyEngineToggleInTheText) {
+  // The engine has one event queue and one memory hit path; only the
+  // batching A/B (tab7, --no-batch) still selects between two engines.
+  const CellKey k = base_key();
+  EXPECT_NE(k.text.find("\nbatch 1\n"), std::string::npos) << k.text;
+  for (const char* gone : {"memfast", "calendar", "epochbatch"})
+    EXPECT_EQ(k.text.find(gone), std::string::npos) << gone << "\n" << k.text;
 }
 
 TEST(CellKey, UnknownIdentityIsUncacheable) {

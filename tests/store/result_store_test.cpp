@@ -347,7 +347,6 @@ TEST(ResultStore, VerifyOnCleanStoreTouchesNothing) {
   EXPECT_EQ(o.scanned, 3);
   EXPECT_EQ(o.ok, 3);
   EXPECT_EQ(o.corrupt, 0);
-  EXPECT_EQ(o.upgraded, 0);
   EXPECT_EQ(o.tmp_removed, 0);
   EXPECT_TRUE(o.clean());
 
@@ -397,61 +396,61 @@ TEST(ResultStore, VerifyQuarantinesBitFlippedEntryOnly) {
   EXPECT_TRUE(again.clean());
 }
 
-TEST(ResultStore, VerifyUpgradesV1EntriesInPlace) {
-  ResultStore store(fresh_dir("rs_scrub_v1"));
+/// `key`'s entry in the pre-checksum afs-store-v1 layout: the v2 body
+/// without the crc32c line.
+std::string v1_entry(const CellKey& key, const std::string& payload) {
+  return "afs-store-v1\nkeybytes " + std::to_string(key.text.size()) + "\n" +
+         key.text + payload;
+}
+
+void overwrite(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f << bytes;
+}
+
+TEST(ResultStore, V1EntryMissesAndIsQuarantinedOnLoad) {
+  // The store reads one format. A v1 entry carries no checksum, so even
+  // one with an authentic key and a well-formed payload is a miss: it is
+  // moved aside like any unreadable entry, and the recompute's save
+  // replaces it with a v2 entry that hits.
+  ResultStore store(fresh_dir("rs_v1_load"));
   const CellKey key = key_for();
   const SimResult r = simulate();
   store.save(key, r);  // creates the shard directory for us
+  overwrite(store.entry_path(key), v1_entry(key, serialize_sim_result(r)));
 
-  // Rewrite the entry in the pre-checksum v1 layout: same body, no
-  // crc32c line.
-  const std::string payload = serialize_sim_result(r);
-  {
-    std::ofstream f(store.entry_path(key),
-                    std::ios::binary | std::ios::trunc);
-    f << "afs-store-v1\n"
-      << "keybytes " << key.text.size() << "\n"
-      << key.text << payload;
-  }
-
-  // v1 is still a hit even before the scrub (no flag day)...
   SimResult out;
+  EXPECT_FALSE(store.load(key, out));
+  EXPECT_EQ(store.quarantined(), 1);
+  EXPECT_FALSE(fs::exists(store.entry_path(key)));
+  EXPECT_EQ(store.scan().quarantined, 1);
+
+  store.save(key, r);
   ASSERT_TRUE(store.load(key, out));
   expect_identical(r, out);
-
-  // ...and verify() migrates it to a checksummed v2 entry in place.
-  const ScrubOutcome o = store.verify();
-  EXPECT_EQ(o.scanned, 1);
-  EXPECT_EQ(o.ok, 1);
-  EXPECT_EQ(o.upgraded, 1);
-  EXPECT_TRUE(o.clean());
-
-  std::ifstream f(store.entry_path(key), std::ios::binary);
-  std::string schema;
-  std::getline(f, schema);
-  EXPECT_EQ(schema, "afs-store-v2");
-  ASSERT_TRUE(store.load(key, out));
-  expect_identical(r, out);
-  EXPECT_EQ(store.verify().upgraded, 0);  // the migration is one-shot
 }
 
 TEST(ResultStore, VerifyQuarantinesCorruptV1Entry) {
-  // The upgrade path must not launder damage: a v1 entry whose payload is
-  // garbage gets quarantined, not rewritten as "valid" v2.
+  // A scrub treats v1 entries — clean or damaged — as unreadable: both
+  // are quarantined, neither is rewritten as "valid" v2.
   ResultStore store(fresh_dir("rs_scrub_v1_bad"));
-  const CellKey key = key_for();
-  store.save(key, simulate());
-  {
-    std::ofstream f(store.entry_path(key),
-                    std::ios::binary | std::ios::trunc);
-    f << "afs-store-v1\n"
-      << "keybytes " << key.text.size() << "\n"
-      << key.text << "this is not a serialized SimResult";
-  }
+  const SimResult r = simulate();
+  const CellKey clean = key_for(2);
+  const CellKey damaged = key_for(3);
+  store.save(clean, r);
+  store.save(damaged, r);
+  overwrite(store.entry_path(clean), v1_entry(clean, serialize_sim_result(r)));
+  overwrite(store.entry_path(damaged),
+            v1_entry(damaged, "this is not a serialized SimResult"));
+
   const ScrubOutcome o = store.verify();
-  EXPECT_EQ(o.corrupt, 1);
-  EXPECT_EQ(o.upgraded, 0);
-  EXPECT_FALSE(fs::exists(store.entry_path(key)));
+  EXPECT_EQ(o.scanned, 2);
+  EXPECT_EQ(o.ok, 0);
+  EXPECT_EQ(o.corrupt, 2);
+  EXPECT_FALSE(o.clean());
+  EXPECT_FALSE(fs::exists(store.entry_path(clean)));
+  EXPECT_FALSE(fs::exists(store.entry_path(damaged)));
+  EXPECT_EQ(store.scan().quarantined, 2);
 }
 
 TEST(ResultStore, VerifyRemovesStaleTempFilesKeepsFreshOnes) {
@@ -602,31 +601,29 @@ TEST(ResultStore, HostileV2EntriesMissOrHitOnUnchangedBytes) {
   EXPECT_GT(misses, 3000);
 }
 
-TEST(ResultStore, HostileV1EntriesMissOrHitOnAuthenticatedKey) {
-  // v1 entries (no checksum) are still served so that an old store keeps
-  // working until `cache verify` upgrades it. Without a checksum, a flip
-  // that turns one valid value into another cannot be told from a real
-  // value; what must hold is that the key text authenticates (no foreign
-  // or damaged key is ever served), the payload is exactly the
-  // serializer's text for the served value, and nothing crashes.
+TEST(ResultStore, HostileV1EntriesAlwaysMissAndAreQuarantined) {
+  // Without a checksum a flip that turns one valid value into another
+  // cannot be told from a real value, so no v1 entry is ever served:
+  // neither the intact one nor any mutant of it. Each miss quarantines
+  // the file it could not read; only the recompute's v2 save hits.
   ResultStore store(fresh_dir("rs_hostile_v1"));
   const CellKey key = key_for();
   const SimResult r = simulate();
-  const std::string head = "afs-store-v1\nkeybytes " +
-                           std::to_string(key.text.size()) + "\n" + key.text;
-  const std::string good = head + serialize_sim_result(r);
+  store.save(key, r);
+  const std::string good = v1_entry(key, serialize_sim_result(r));
+  overwrite(store.entry_path(key), good);
+  SimResult out;
+  EXPECT_FALSE(store.load(key, out));
 
   const auto [mutant_hits, misses] = hostile_loads(
-      store, key, r, good, [&](const std::string& bytes, const SimResult& out) {
-        if (bytes.rfind("afs-store-v2\n", 0) == 0) {  // the recompute's save
-          expect_identical(r, out);
-          return;
-        }
-        ASSERT_EQ(bytes.rfind(head, 0), 0u) << "served with a damaged key";
-        EXPECT_EQ(serialize_sim_result(out), bytes.substr(head.size()));
+      store, key, r, good, [&](const std::string& bytes, const SimResult& hit) {
+        EXPECT_EQ(bytes.rfind("afs-store-v2\n", 0), 0u)
+            << "served a v1 entry";
+        expect_identical(r, hit);
       });
+  EXPECT_EQ(mutant_hits, 0);
   EXPECT_GT(misses, 3000);
-  EXPECT_LT(mutant_hits, misses / 10);  // value-for-value flips only
+  EXPECT_EQ(store.quarantined(), misses + 1);
 }
 
 }  // namespace

@@ -216,7 +216,6 @@ int cmd_cache(const std::vector<std::string>& args) {
               << "scanned: " << o.scanned << "\n"
               << "ok: " << o.ok << "\n"
               << "corrupt: " << o.corrupt << "\n"
-              << "upgraded: " << o.upgraded << "\n"
               << "tmp_removed: " << o.tmp_removed << "\n"
               << "mtime_repaired: " << o.mtime_repaired << "\n";
     // Nonzero exit iff corruption was found (and quarantined) — what a
@@ -531,7 +530,6 @@ int cmd_serve(const std::vector<std::string>& args) {
 bool build_request_line(const std::vector<std::string>& args,
                         std::string& line, std::string& error) {
   using service::json_number;
-  using service::json_quote;
   if (args.empty()) {
     error = "need a request (run/grid/stats/health/shutdown or '{...}')";
     return false;
