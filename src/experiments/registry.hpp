@@ -2,12 +2,11 @@
 // how to run, keyed by id ("fig03".."fig17", "tab2".."tab7",
 // "ablation_afs", "micro_queues", "trend_comm_ratio").
 //
-// Each entry owns what used to live in its bench/*.cpp binary — the
-// FigureSpec (or bespoke table body) and the paper shape checks — so a
-// per-figure binary is now a five-line shim over shim_main(), and the
-// afs_sweep driver can run any subset of experiments in one process,
-// sharing one worker pool and one content-addressed result store
-// (docs/SWEEP_SERVICE.md).
+// Each entry owns its FigureSpec (or bespoke table body) and the paper
+// shape checks, so the afs_sweep front end can run any subset of
+// experiments in one process (`afs_sweep run fig04 tab2`), sharing one
+// worker pool and one content-addressed result store, and the daemon can
+// serve the same ids (docs/SWEEP_SERVICE.md).
 #pragma once
 
 #include <cstddef>

@@ -1,5 +1,6 @@
 #include "service/daemon.hpp"
 
+#include <algorithm>
 #include <csignal>
 #include <cstdio>
 #include <filesystem>
@@ -95,8 +96,8 @@ GridSpec grid_spec_of(const Request& req, std::vector<int> procs) {
 
 void DaemonOptions::validate() const {
   AFS_CHECK_MSG(!socket_path.empty(), "serve needs --socket=PATH");
-  AFS_CHECK_MSG(!out_dir.empty(), "serve needs a non-empty --out-dir");
-  AFS_CHECK_MSG(jobs >= 1 && jobs <= 256, "--jobs must be in 1..256");
+  AFS_CHECK_MSG(!cli.out_dir.empty(), "serve needs a non-empty --out-dir");
+  AFS_CHECK_MSG(cli.jobs >= 1 && cli.jobs <= 256, "--jobs must be in 1..256");
   AFS_CHECK_MSG(max_queue >= 1 && max_queue <= 4096,
                 "--max-queue must be in 1..4096");
   AFS_CHECK_MSG(max_connections >= 1 && max_connections <= 1024,
@@ -107,7 +108,7 @@ void DaemonOptions::validate() const {
                 "--drain-timeout must be in (0, 86400] seconds");
   AFS_CHECK_MSG(write_timeout > 0.0 && write_timeout <= 3600.0,
                 "--write-timeout must be in (0, 3600] seconds");
-  AFS_CHECK_MSG(cell_timeout >= 0.0, "--cell-timeout must be >= 0");
+  AFS_CHECK_MSG(cli.cell_timeout >= 0.0, "--cell-timeout must be >= 0");
   AFS_CHECK_MSG(isolation == "thread" || isolation == "process",
                 "--isolation must be thread or process");
   AFS_CHECK_MSG(poison_strikes >= 1, "--poison-strikes must be >= 1");
@@ -140,22 +141,19 @@ int SweepDaemon::serve() {
   opts_.validate();
   start_ = std::chrono::steady_clock::now();
   std::error_code ec;
-  std::filesystem::create_directories(opts_.out_dir, ec);
+  std::filesystem::create_directories(opts_.cli.out_dir, ec);
   if (ec) {
     if (opts_.log)
-      *opts_.log << "serve: cannot create out-dir '" << opts_.out_dir
+      *opts_.log << "serve: cannot create out-dir '" << opts_.cli.out_dir
                  << "': " << ec.message() << "\n";
     return 1;
   }
-  if (!opts_.no_store) {
-    store_.emplace(opts_.store_dir.empty() ? opts_.out_dir + "/.store"
-                                           : opts_.store_dir);
-  }
-  if (opts_.jobs > 1) pool_.emplace(opts_.jobs);
+  if (!opts_.cli.no_store) store_.emplace(bench::store_root(opts_.cli));
+  if (opts_.cli.jobs > 1) pool_.emplace(opts_.cli.jobs);
 
   if (opts_.isolation == "process") {
     WorkerPoolOptions wopts;
-    wopts.workers = opts_.jobs;
+    wopts.workers = opts_.cli.jobs;
     wopts.exe = opts_.worker_exe;
     if (!opts_.worker_args.empty()) wopts.args = opts_.worker_args;
     wopts.poison_strikes = opts_.poison_strikes;
@@ -204,7 +202,7 @@ int SweepDaemon::serve() {
   if (opts_.log)
     *opts_.log << "serving on " << opts_.socket_path << " (store "
                << (store_ ? store_->root() : std::string("off")) << ", jobs "
-               << opts_.jobs << ", queue " << opts_.max_queue << ")\n";
+               << opts_.cli.jobs << ", queue " << opts_.max_queue << ")\n";
 
   // The drain can be initiated while a request is mid-run (a signal, the
   // shutdown verb, a test calling request_drain()); the watcher thread
@@ -480,11 +478,7 @@ void SweepDaemon::execute(std::unique_ptr<ServiceRequest> r) {
   // token to the connection for the duration.
   r->conn->register_cancel(&r->cancel);
 
-  bench::BenchCli cli;
-  cli.out_dir = opts_.out_dir;
-  cli.jobs = opts_.jobs;
-  cli.cell_timeout = opts_.cell_timeout;
-  if (opts_.cell_retries >= 0) cli.cell_retries = opts_.cell_retries;
+  bench::BenchCli cli = opts_.cli;
   // Resume is always on in serve mode: between the store and the sweep
   // checkpoints, a re-issued request after any kind of crash recomputes
   // only what was genuinely never finished.
@@ -501,7 +495,8 @@ void SweepDaemon::execute(std::unique_ptr<ServiceRequest> r) {
     std::string perror;
     parse_procs_list(r->req.procs, procs, perror);  // validated at admission
     const GridSpec g = grid_spec_of(r->req, std::move(procs));
-    cli.out_dir = opts_.out_dir + "/grid-" + hex64(fnv1a64(grid_identity(g)));
+    cli.out_dir =
+        opts_.cli.out_dir + "/grid-" + hex64(fnv1a64(grid_identity(g)));
     try {
       grid_exp = make_grid_experiment(g);
     } catch (const std::exception& ex) {
@@ -704,6 +699,71 @@ std::string SweepDaemon::stats_response(const std::string& tag) const {
     fields.push_back({"poisoned_cells", json_number(double(ws.poisoned))});
   }
   return response_line("stats", fields, tag);
+}
+
+bool parse_serve_args(const std::vector<std::string>& args,
+                      DaemonOptions& opts, std::string& error) {
+  // The run flags a daemon applies to every request; the rest of
+  // `afs_sweep run`'s flags are per-invocation and make no sense here.
+  static constexpr std::string_view kRunFlags[] = {
+      "--out-dir=", "--store=", "--no-store", "--jobs=", "--cell-timeout=",
+      "--cell-retries="};
+  std::vector<std::string> run_flags;
+  for (const std::string& a : args) {
+    const auto has = [&a](std::string_view prefix) {
+      return a.rfind(prefix, 0) == 0;
+    };
+    bool ok = true;
+    if (has("--socket=")) {
+      opts.socket_path = a.substr(9);
+    } else if (has("--max-queue=")) {
+      ok = bench::parse_flag_value(a, "--max-queue", 1, 4096, opts.max_queue,
+                                   error);
+    } else if (has("--max-connections=")) {
+      ok = bench::parse_flag_value(a, "--max-connections", 1, 1024,
+                                   opts.max_connections, error);
+    } else if (has("--default-deadline=")) {
+      ok = bench::parse_flag_value(a, "--default-deadline", 0.0, 86400.0,
+                                   opts.default_deadline, error);
+    } else if (has("--drain-timeout=")) {
+      ok = bench::parse_flag_value(a, "--drain-timeout", 0.001, 86400.0,
+                                   opts.drain_timeout, error);
+    } else if (has("--write-timeout=")) {
+      ok = bench::parse_flag_value(a, "--write-timeout", 0.001, 3600.0,
+                                   opts.write_timeout, error);
+    } else if (has("--isolation=")) {
+      opts.isolation = a.substr(12);
+      if (opts.isolation != "thread" && opts.isolation != "process") {
+        error = "--isolation must be thread or process";
+        return false;
+      }
+    } else if (has("--poison-strikes=")) {
+      ok = bench::parse_flag_value(a, "--poison-strikes", 1, 100,
+                                   opts.poison_strikes, error);
+    } else if (has("--restart-burst=")) {
+      ok = bench::parse_flag_value(a, "--restart-burst", 0.0, 10000.0,
+                                   opts.restart_burst, error);
+    } else if (has("--restart-refill=")) {
+      ok = bench::parse_flag_value(a, "--restart-refill", 0.0, 10000.0,
+                                   opts.restart_refill, error);
+    } else if (a == "--quiet") {
+      opts.log = nullptr;
+    } else if (std::any_of(std::begin(kRunFlags), std::end(kRunFlags), has)) {
+      run_flags.push_back(a);
+    } else {
+      error = "unknown argument '" + a + "'";
+      return false;
+    }
+    if (!ok) return false;
+  }
+  bool want_help = false;  // --help is not a run flag here: never set
+  if (!bench::parse_cli_args(run_flags, opts.cli, error, want_help))
+    return false;
+  if (opts.socket_path.empty()) {
+    error = "--socket=PATH is required";
+    return false;
+  }
+  return true;
 }
 
 }  // namespace afs::service

@@ -38,6 +38,7 @@
 #include <thread>
 #include <vector>
 
+#include "experiments/bench_cli.hpp"
 #include "runtime/thread_pool.hpp"
 #include "service/listener.hpp"
 #include "service/request.hpp"
@@ -49,18 +50,17 @@
 namespace afs::service {
 
 struct DaemonOptions {
-  std::string socket_path;                ///< required; <= 107 bytes
-  std::string out_dir = "bench_results";  ///< CSVs land here, like batch
-  std::string store_dir;  ///< empty = <out_dir>/.store
-  bool no_store = false;  ///< disable the store (requests always simulate)
-  int jobs = 1;           ///< intra-request sweep parallelism
-  int max_queue = 64;     ///< admission queue bound (backpressure)
+  std::string socket_path;  ///< required; <= 107 bytes
+  /// The run options every request executes with, as `afs_sweep run`
+  /// reads them: out_dir (CSVs land here), the store (bench::store_root;
+  /// no_store = requests always simulate), jobs (intra-request sweep
+  /// parallelism), cell_timeout and cell_retries. Resume is always on.
+  bench::BenchCli cli;
+  int max_queue = 64;  ///< admission queue bound (backpressure)
   int max_connections = 64;
   double default_deadline = 0.0;  ///< seconds; 0 = requests have none
   double drain_timeout = 30.0;    ///< seconds to finish in-flight on drain
   double write_timeout = 10.0;    ///< seconds before a slow reader is cut
-  double cell_timeout = 0.0;      ///< per-cell deadline, as in batch mode
-  int cell_retries = -1;          ///< per-cell retries; -1 = runner default
   /// "thread" (default): cells simulate in-process on the shared pool.
   /// "process": store-missed cells run in supervised sandbox workers
   /// (service/worker.hpp) — a crashing cell kills one subprocess, not the
@@ -79,6 +79,15 @@ struct DaemonOptions {
   /// Throws CheckFailure naming the offending field.
   void validate() const;
 };
+
+/// Parses `afs_sweep serve`'s flags into `opts`: the daemon's own, plus
+/// the run flags it applies to every request (--out-dir, --store,
+/// --no-store, --jobs, --cell-timeout, --cell-retries), which go through
+/// bench::parse_cli_args so that `run` and `serve` accept exactly the same
+/// values. --socket=PATH is required. Returns false with `error` naming
+/// the offending flag.
+bool parse_serve_args(const std::vector<std::string>& args,
+                      DaemonOptions& opts, std::string& error);
 
 class SweepDaemon {
  public:

@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -97,9 +98,24 @@ struct EntryInfo {
   fs::path path;
   std::int64_t bytes = 0;
   fs::file_time_type mtime;
+  bool quarantined = false;
 };
 
 constexpr const char* kQuarantineDir = "quarantine";
+
+/// Size and mtime of the file at `d`; nullopt when it vanished under us.
+std::optional<EntryInfo> info_of(const fs::directory_entry& d,
+                                 bool quarantined) {
+  std::error_code ec;
+  EntryInfo e;
+  e.path = d.path();
+  e.quarantined = quarantined;
+  e.bytes = static_cast<std::int64_t>(d.file_size(ec));
+  if (ec) return std::nullopt;
+  e.mtime = d.last_write_time(ec);
+  if (ec) return std::nullopt;
+  return e;
+}
 
 std::vector<EntryInfo> list_entries(const std::string& root) {
   std::vector<EntryInfo> entries;
@@ -107,23 +123,29 @@ std::vector<EntryInfo> list_entries(const std::string& root) {
   for (fs::recursive_directory_iterator it(root, ec), end; it != end;
        it.increment(ec)) {
     if (ec) break;
-    // Quarantined files are evidence, not entries: invisible to scan/gc.
+    // Quarantined files are evidence, not entries (list_quarantine).
     if (it->is_directory(ec) && it->path().filename() == kQuarantineDir) {
       it.disable_recursion_pending();
       continue;
     }
     if (!it->is_regular_file(ec)) continue;
-    const fs::path& p = it->path();
-    if (p.extension() != ".cell") continue;  // skips stray .tmp.* files
-    EntryInfo e;
-    e.path = p;
-    e.bytes = static_cast<std::int64_t>(it->file_size(ec));
-    if (ec) continue;
-    e.mtime = it->last_write_time(ec);
-    if (ec) continue;
-    entries.push_back(std::move(e));
+    if (it->path().extension() != ".cell") continue;  // skips .tmp.* files
+    if (auto e = info_of(*it, false)) entries.push_back(std::move(*e));
   }
   return entries;
+}
+
+/// The files under <root>/quarantine/ (any name: they are evidence, not
+/// entries).
+std::vector<EntryInfo> list_quarantine(const std::string& root) {
+  std::vector<EntryInfo> files;
+  std::error_code ec;
+  for (fs::directory_iterator it(fs::path(root) / kQuarantineDir, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    if (!it->is_regular_file(ec)) continue;
+    if (auto e = info_of(*it, true)) files.push_back(std::move(*e));
+  }
+  return files;
 }
 
 }  // namespace
@@ -173,7 +195,7 @@ void ResultStore::quarantine_entry(const std::string& path) {
   if (!ec) {
     // Same uniqueness scheme as the write path: (pid, tid, counter) makes
     // concurrent quarantines of the same entry land on distinct names,
-    // and the ".bad" extension keeps them out of scan()/gc().
+    // and the ".bad" extension keeps them from ever reading as entries.
     const std::string dest =
         (dir / fs::path(path).stem()).string() +
         unique_tmp_path("").substr(4) + ".bad";  // strip the ".tmp" prefix
@@ -221,16 +243,16 @@ StoreStats ResultStore::scan() const {
     ++stats.entries;
     stats.bytes += e.bytes;
   }
-  std::error_code ec;
-  for (fs::directory_iterator it(fs::path(root_) / kQuarantineDir, ec), end;
-       !ec && it != end; it.increment(ec)) {
-    if (it->is_regular_file(ec)) ++stats.quarantined;
+  for (const EntryInfo& q : list_quarantine(root_)) {
+    ++stats.quarantined;
+    stats.quarantine_bytes += q.bytes;
   }
   return stats;
 }
 
 GcOutcome ResultStore::gc(const GcOptions& opts) const {
   std::vector<EntryInfo> entries = list_entries(root_);
+  for (EntryInfo& q : list_quarantine(root_)) entries.push_back(std::move(q));
 
   GcOutcome out;
   out.scanned = static_cast<std::int64_t>(entries.size());
@@ -241,6 +263,7 @@ GcOutcome ResultStore::gc(const GcOptions& opts) const {
     std::error_code ec;
     if (fs::remove(e.path, ec)) {
       ++out.evicted;
+      if (e.quarantined) ++out.quarantine_evicted;
       out.bytes_after -= e.bytes;
     }
   };
@@ -262,10 +285,12 @@ GcOutcome ResultStore::gc(const GcOptions& opts) const {
     survivors = std::move(entries);
   }
 
-  // Size pass: least-recently-used first until under the byte bound.
+  // Size pass: quarantined files first (they serve no lookup), then
+  // least-recently-used entries, until under the byte bound.
   if (opts.max_bytes >= 0 && out.bytes_after > opts.max_bytes) {
     std::sort(survivors.begin(), survivors.end(),
               [](const EntryInfo& a, const EntryInfo& b) {
+                if (a.quarantined != b.quarantined) return a.quarantined;
                 return a.mtime != b.mtime ? a.mtime < b.mtime
                                           : a.path < b.path;
               });

@@ -39,7 +39,8 @@
 // Invalidation is implicit: any change to an input changes the key text
 // and therefore the address — bumping kEngineVersion orphans exactly the
 // entries computed by the old engine. Orphans are reclaimed by gc()
-// (age- or size-bounded LRU on entry mtime; load() touches mtime on hit).
+// (age- or size-bounded LRU on entry mtime; load() touches mtime on hit),
+// which bounds the quarantine too.
 #pragma once
 
 #include <atomic>
@@ -58,21 +59,26 @@ struct StoreStats {
   /// load() for post-mortems instead of being re-parsed (and re-failed)
   /// on every lookup.
   std::int64_t quarantined = 0;
+  std::int64_t quarantine_bytes = 0;
 };
 
+/// gc() bounds the whole store: its entries and the quarantined files,
+/// which serve no lookup but still hold disk.
 struct GcOptions {
-  /// Evict entries whose mtime is older than this many days. 0 = no age
-  /// bound.
+  /// Evict entries and quarantined files whose mtime is older than this
+  /// many days. 0 = no age bound.
   double max_age_days = 0.0;
-  /// After the age pass, evict least-recently-used entries until the store
-  /// holds at most this many bytes. Negative = no size bound.
+  /// After the age pass, evict quarantined files (oldest first), then
+  /// least-recently-used entries, until the store holds at most this many
+  /// bytes. Negative = no size bound.
   std::int64_t max_bytes = -1;
 };
 
 struct GcOutcome {
-  std::int64_t scanned = 0;  ///< entries examined
-  std::int64_t evicted = 0;  ///< entries removed
-  std::int64_t bytes_before = 0;
+  std::int64_t scanned = 0;  ///< entries and quarantined files examined
+  std::int64_t evicted = 0;  ///< of those, removed
+  std::int64_t quarantine_evicted = 0;  ///< of `evicted`, quarantined files
+  std::int64_t bytes_before = 0;        ///< entries plus quarantine
   std::int64_t bytes_after = 0;
 };
 
@@ -124,7 +130,7 @@ class ResultStore {
   /// hits / (hits + misses); 0 when no lookups were made.
   double hit_rate() const;
 
-  /// Walks the store: entry count and total bytes.
+  /// Walks the store: entries and quarantined files, counts and bytes.
   StoreStats scan() const;
 
   /// Evicts by age, then by LRU size bound. See GcOptions.

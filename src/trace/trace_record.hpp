@@ -95,9 +95,9 @@ constexpr const char* to_string(TraceEv ev) {
 ///   run_end     t0 (= makespan)
 struct TraceRecord {
   TraceEv ev = TraceEv::kRunBegin;
-  std::string machine;
-  std::string program;
-  std::string scheduler;
+  std::string machine{};
+  std::string program{};
+  std::string scheduler{};
   int p = 0;
   int epoch = 0;
   int proc = 0;

@@ -51,8 +51,8 @@ class DaemonTest : public ::testing::Test {
     std::filesystem::create_directories(dir_);
     DaemonOptions o;
     o.socket_path = dir_ + "/sock";
-    o.out_dir = dir_ + "/out";
-    o.no_store = true;
+    o.cli.out_dir = dir_ + "/out";
+    o.cli.no_store = true;
     o.drain_timeout = 2.0;
     o.install_signal_handlers = false;
     o.log = nullptr;
@@ -410,7 +410,7 @@ TEST_F(DaemonTest, ConcurrentRunsOfOneFigureShareTheOutDirSafely) {
   // <out>/fig04.csv (and its sweep checkpoints) through atomic staging.
   // Each must finish ok, the CSV must equal a batch run's byte for byte,
   // and no staging file may be left behind.
-  Start([](DaemonOptions& o) { o.jobs = 2; });
+  Start([](DaemonOptions& o) { o.cli.jobs = 2; });
   constexpr double kTimeout = 300.0;  // sanitizer builds are slow
   std::vector<JsonValue> done(2);
   std::vector<bool> got(2, false);
@@ -443,10 +443,10 @@ TEST_F(DaemonTest, ConcurrentRunsOfOneFigureShareTheOutDirSafely) {
   ASSERT_EQ(run_experiment(*find_experiment("fig04"), ctx, log), 0);
   const std::string want = read_file(batch / "fig04.csv");
   ASSERT_FALSE(want.empty());
-  EXPECT_EQ(read_file(daemon_->options().out_dir + "/fig04.csv"), want);
+  EXPECT_EQ(read_file(daemon_->options().cli.out_dir + "/fig04.csv"), want);
 
   for (const auto& entry : std::filesystem::recursive_directory_iterator(
-           daemon_->options().out_dir))
+           daemon_->options().cli.out_dir))
     EXPECT_EQ(entry.path().filename().string().find(".tmp."),
               std::string::npos)
         << "staging file left behind: " << entry.path();

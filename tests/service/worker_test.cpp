@@ -299,14 +299,14 @@ class WorkerDaemonTest : public ::testing::Test {
     fs::create_directories(dir_);
     DaemonOptions o;
     o.socket_path = (dir_ / "sock").string();
-    o.out_dir = (dir_ / "out").string();
-    o.no_store = true;
+    o.cli.out_dir = (dir_ / "out").string();
+    o.cli.no_store = true;
     o.drain_timeout = 2.0;
     o.install_signal_handlers = false;
     o.log = nullptr;
     o.isolation = "process";
     o.worker_args = {"afs-worker-main"};
-    o.jobs = 2;
+    o.cli.jobs = 2;
     if (tweak) tweak(o);
     daemon_.emplace(std::move(o));
     serve_thread_ = std::thread([this] { rc_ = daemon_->serve(); });

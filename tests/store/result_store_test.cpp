@@ -309,24 +309,60 @@ TEST(ResultStore, RepeatedCorruptionYieldsDistinctQuarantineFiles) {
   EXPECT_EQ(store.scan().quarantined, 3);  // unique names: nothing clobbered
 }
 
-TEST(ResultStore, QuarantineIsInvisibleToScanAndGc) {
+TEST(ResultStore, GcBoundsTheQuarantineBeforeEntries) {
   ResultStore store(fresh_dir("rs_quar_gc"));
-  const CellKey key = key_for();
-  store.save(key, simulate());
-  fs::resize_file(store.entry_path(key), 3);
-  SimResult out;
-  EXPECT_FALSE(store.load(key, out));
-  ASSERT_EQ(store.quarantined(), 1);
+  const SimResult r = simulate();
+  const CellKey live = key_for(2);
+  store.save(live, r);
+  const std::int64_t live_bytes = store.scan().bytes;
+  // Two corrupt entries moved aside: evidence, not entries, but disk.
+  for (int p : {3, 4}) {
+    store.save(key_for(p), r);
+    fs::resize_file(store.entry_path(key_for(p)), 3);
+    SimResult out;
+    EXPECT_FALSE(store.load(key_for(p), out));
+  }
+  ASSERT_EQ(store.quarantined(), 2);
+  const StoreStats stats = store.scan();
+  EXPECT_EQ(stats.entries, 1);
+  EXPECT_EQ(stats.bytes, live_bytes);
+  EXPECT_EQ(stats.quarantined, 2);
+  EXPECT_EQ(stats.quarantine_bytes, 6);
 
-  // gc must neither count nor evict the quarantined evidence, even with
-  // bounds that would evict any live entry.
-  GcOptions opts;
-  opts.max_age_days = 1e-9;
-  opts.max_bytes = 0;
-  const GcOutcome gc = store.gc(opts);
-  EXPECT_EQ(gc.scanned, 0);
-  EXPECT_EQ(gc.evicted, 0);
+  // Age pass: a quarantined file older than the bound goes like an entry.
+  std::vector<fs::path> bad;
+  for (const auto& e :
+       fs::directory_iterator(fs::path(store.root()) / "quarantine"))
+    bad.push_back(e.path());
+  ASSERT_EQ(bad.size(), 2u);
+  fs::last_write_time(bad[0], fs::file_time_type::clock::now() -
+                                  std::chrono::hours(24 * 10));
+  GcOptions age;
+  age.max_age_days = 7.0;
+  GcOutcome gc = store.gc(age);
+  EXPECT_EQ(gc.scanned, 3);
+  EXPECT_EQ(gc.evicted, 1);
+  EXPECT_EQ(gc.quarantine_evicted, 1);
+  EXPECT_FALSE(fs::exists(bad[0]));
   EXPECT_EQ(store.scan().quarantined, 1);
+
+  // Size pass: the quarantine counts toward the bound and is spent first,
+  // even though the live entry is older (least recently used).
+  fs::last_write_time(store.entry_path(live),
+                      fs::file_time_type::clock::now() -
+                          std::chrono::hours(48));
+  GcOptions size;
+  size.max_bytes = live_bytes;
+  gc = store.gc(size);
+  EXPECT_EQ(gc.scanned, 2);
+  EXPECT_EQ(gc.bytes_before, live_bytes + 3);
+  EXPECT_EQ(gc.evicted, 1);
+  EXPECT_EQ(gc.quarantine_evicted, 1);
+  EXPECT_EQ(gc.bytes_after, live_bytes);
+  EXPECT_EQ(store.scan().quarantined, 0);
+  SimResult out;
+  ASSERT_TRUE(store.load(live, out));
+  expect_identical(r, out);
 }
 
 TEST(ResultStore, CleanMissesNeverQuarantine) {

@@ -17,10 +17,11 @@
 //   afs_sweep cache stats [--store=DIR]
 //   afs_sweep cache gc [--store=DIR] [--max-age-days=D] [--max-bytes=B]
 //   afs_sweep cache verify [--store=DIR]
-//       store maintenance: entry count/bytes/quarantined; eviction by age
-//       then LRU size cap; and the integrity scrub — re-checksum every
-//       entry, quarantine corruption, repair metadata (exit 1 when
-//       anything corrupt was found).
+//       store maintenance: entry and quarantine counts/bytes; eviction
+//       by age, then by a size cap on entries plus quarantine
+//       (quarantined files first, then entries LRU); and the integrity
+//       scrub — re-checksum every entry, quarantine corruption, repair
+//       metadata (exit 1 when anything corrupt was found).
 //   afs_sweep serve --socket=PATH [--jobs=N --max-queue=M ...]
 //       the long-running sweep daemon: line-delimited JSON requests over
 //       a Unix-domain socket, served in arrival order against the same
@@ -41,16 +42,20 @@
 // (Hidden: `afs_sweep worker` is the sandbox worker entry point that
 // --isolation=process re-execs; it is not part of the CLI surface.)
 //
-// Shared flags are exactly the bench-binary flags (see --help).
+// `run` takes the experiment flags of experiments/bench_cli.hpp (see
+// `afs_sweep run --help`); `serve` and `cache` take the subsets that
+// apply to them, through the same parser.
 #include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "experiments/bench_cli.hpp"
@@ -70,10 +75,17 @@ namespace {
 
 using namespace afs;
 
-bool parse_double_flag(const std::string& arg, std::size_t prefix,
-                       const char* flag, double lo, double hi, double& out);
-bool parse_int_flag(const std::string& arg, std::size_t prefix,
-                    const char* flag, long lo, long hi, int& out);
+/// bench::parse_flag_value for the commands' own numeric flags: prints
+/// the error as "afs_sweep <cmd>: ..." and returns false on a bad value.
+template <typename T>
+bool flag_value(const char* cmd, const std::string& arg, std::string_view flag,
+                std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                T& out) {
+  std::string error;
+  if (bench::parse_flag_value(arg, flag, lo, hi, out, error)) return true;
+  std::cerr << "afs_sweep " << cmd << ": " << error << "\n";
+  return false;
+}
 
 int usage(std::ostream& out, int rc) {
   out << "usage: afs_sweep <command> [args]\n"
@@ -85,7 +97,8 @@ int usage(std::ostream& out, int rc) {
          "      [--perturb=SPEC] [flags]   run a user-defined grid\n"
          "  cache stats [--store=DIR] store entries, bytes, quarantined\n"
          "  cache gc [--store=DIR] [--max-age-days=D] [--max-bytes=B]\n"
-         "                            evict by age, then by LRU size cap\n"
+         "                            evict by age, then by size cap\n"
+         "                            (quarantine first, then LRU entries)\n"
          "  cache verify [--store=DIR]\n"
          "                            scrub: checksum every entry,\n"
          "                            quarantine corruption (exit 1 if any)\n"
@@ -105,7 +118,9 @@ int usage(std::ostream& out, int rc) {
          "             [--procs=P,P] [--perturb=SPEC]\n"
          "        stats | health | shutdown\n"
          "        '{\"verb\":...}'       a raw protocol line\n"
-         "shared flags: the bench-binary flags (afs_sweep run --help);\n"
+         "run flags: see afs_sweep run --help; serve takes --out-dir,\n"
+         "--store, --no-store, --jobs, --cell-timeout and --cell-retries\n"
+         "with the same meaning and bounds;\n"
          "run also takes --isolation=thread|process [--workers=N]\n"
          "(sandboxed cell execution: a crash loses one attempt, not the\n"
          "batch); the store defaults to <out-dir>/.store unless "
@@ -151,11 +166,6 @@ int cmd_list(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Store root for maintenance commands: --store=DIR or <out-dir>/.store.
-std::string store_root(const bench::BenchCli& cli) {
-  return cli.store_dir.empty() ? cli.out_dir + "/.store" : cli.store_dir;
-}
-
 int cmd_cache(const std::vector<std::string>& args) {
   if (args.empty()) return usage(std::cerr, 2);
   const std::string sub = args[0];
@@ -171,29 +181,26 @@ int cmd_cache(const std::vector<std::string>& args) {
         return 2;
       }
     } else if (a.rfind("--max-age-days=", 0) == 0) {
-      gc.max_age_days = std::strtod(a.c_str() + 15, nullptr);
-      if (!(gc.max_age_days > 0.0)) {
-        std::cerr << "afs_sweep cache: bad --max-age-days value\n";
+      if (!flag_value("cache", a, "--max-age-days", 0.001, 36500.0,
+                      gc.max_age_days))
         return 2;
-      }
     } else if (a.rfind("--max-bytes=", 0) == 0) {
-      gc.max_bytes = std::strtoll(a.c_str() + 12, nullptr, 10);
-      if (gc.max_bytes < 0) {
-        std::cerr << "afs_sweep cache: bad --max-bytes value\n";
+      if (!flag_value("cache", a, "--max-bytes", 0,
+                      std::numeric_limits<std::int64_t>::max(), gc.max_bytes))
         return 2;
-      }
     } else {
       std::cerr << "afs_sweep cache: unknown argument '" << a << "'\n";
       return 2;
     }
   }
-  ResultStore store(store_root(cli));
+  ResultStore store(bench::store_root(cli));
   if (sub == "stats") {
     const StoreStats s = store.scan();
     std::cout << "store: " << store.root() << "\n"
               << "entries: " << s.entries << "\n"
               << "bytes: " << s.bytes << "\n"
-              << "quarantined=" << s.quarantined << "\n";
+              << "quarantined=" << s.quarantined << "\n"
+              << "quarantine_bytes=" << s.quarantine_bytes << "\n";
     return 0;
   }
   if (sub == "gc") {
@@ -206,6 +213,7 @@ int cmd_cache(const std::vector<std::string>& args) {
     std::cout << "store: " << store.root() << "\n"
               << "scanned: " << o.scanned << "\n"
               << "evicted: " << o.evicted << "\n"
+              << "quarantine_evicted: " << o.quarantine_evicted << "\n"
               << "bytes: " << o.bytes_before << " -> " << o.bytes_after
               << "\n";
     return 0;
@@ -265,7 +273,7 @@ int cmd_run(const std::vector<std::string>& args) {
         return 2;
       }
     } else if (a.rfind("--workers=", 0) == 0) {
-      if (!parse_int_flag(a, 10, "--workers", 1, 256, sandbox_workers))
+      if (!flag_value("run", a, "--workers", 1, 256, sandbox_workers))
         return 2;
     } else if (a.rfind("--", 0) == 0) {
       shared.push_back(a);
@@ -310,7 +318,7 @@ int cmd_run(const std::vector<std::string>& args) {
   // are exactly where the content-addressed cache pays off.
   std::optional<ResultStore> store;
   if (!cli.no_store) {
-    store.emplace(store_root(cli));
+    store.emplace(bench::store_root(cli));
     ctx.store = &*store;
   }
 
@@ -414,105 +422,12 @@ int cmd_run(const std::vector<std::string>& args) {
   return rc;
 }
 
-bool parse_double_flag(const std::string& arg, std::size_t prefix,
-                       const char* flag, double lo, double hi, double& out) {
-  const std::string tok = arg.substr(prefix);
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(tok.c_str(), &end);
-  if (tok.empty() || end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-      v < lo || v > hi) {
-    std::cerr << "afs_sweep: bad " << flag << " value '" << tok << "'\n";
-    return false;
-  }
-  out = v;
-  return true;
-}
-
-bool parse_int_flag(const std::string& arg, std::size_t prefix,
-                    const char* flag, long lo, long hi, int& out) {
-  const std::string tok = arg.substr(prefix);
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(tok.c_str(), &end, 10);
-  if (tok.empty() || end == tok.c_str() || *end != '\0' || errno == ERANGE ||
-      v < lo || v > hi) {
-    std::cerr << "afs_sweep: bad " << flag << " value '" << tok << "'\n";
-    return false;
-  }
-  out = static_cast<int>(v);
-  return true;
-}
-
 int cmd_serve(const std::vector<std::string>& args) {
   service::DaemonOptions opts;
   opts.log = &std::cerr;
-  for (const std::string& a : args) {
-    if (a.rfind("--socket=", 0) == 0) {
-      opts.socket_path = a.substr(9);
-    } else if (a.rfind("--out-dir=", 0) == 0) {
-      opts.out_dir = a.substr(10);
-    } else if (a.rfind("--store=", 0) == 0) {
-      opts.store_dir = a.substr(8);
-      opts.no_store = false;
-    } else if (a == "--no-store") {
-      opts.no_store = true;
-    } else if (a.rfind("--jobs=", 0) == 0) {
-      if (!parse_int_flag(a, 7, "--jobs", 1, 256, opts.jobs)) return 2;
-    } else if (a.rfind("--max-queue=", 0) == 0) {
-      if (!parse_int_flag(a, 12, "--max-queue", 1, 4096, opts.max_queue))
-        return 2;
-    } else if (a.rfind("--max-connections=", 0) == 0) {
-      if (!parse_int_flag(a, 18, "--max-connections", 1, 1024,
-                          opts.max_connections))
-        return 2;
-    } else if (a.rfind("--default-deadline=", 0) == 0) {
-      if (!parse_double_flag(a, 19, "--default-deadline", 0.0, 86400.0,
-                             opts.default_deadline))
-        return 2;
-    } else if (a.rfind("--drain-timeout=", 0) == 0) {
-      if (!parse_double_flag(a, 16, "--drain-timeout", 0.001, 86400.0,
-                             opts.drain_timeout))
-        return 2;
-    } else if (a.rfind("--write-timeout=", 0) == 0) {
-      if (!parse_double_flag(a, 16, "--write-timeout", 0.001, 3600.0,
-                             opts.write_timeout))
-        return 2;
-    } else if (a.rfind("--cell-timeout=", 0) == 0) {
-      if (!parse_double_flag(a, 15, "--cell-timeout", 0.0, 86400.0,
-                             opts.cell_timeout))
-        return 2;
-    } else if (a.rfind("--cell-retries=", 0) == 0) {
-      if (!parse_int_flag(a, 15, "--cell-retries", 0, 100, opts.cell_retries))
-        return 2;
-    } else if (a.rfind("--isolation=", 0) == 0) {
-      opts.isolation = a.substr(12);
-      if (opts.isolation != "thread" && opts.isolation != "process") {
-        std::cerr << "afs_sweep serve: --isolation must be thread or "
-                     "process\n";
-        return 2;
-      }
-    } else if (a.rfind("--poison-strikes=", 0) == 0) {
-      if (!parse_int_flag(a, 17, "--poison-strikes", 1, 100,
-                          opts.poison_strikes))
-        return 2;
-    } else if (a.rfind("--restart-burst=", 0) == 0) {
-      if (!parse_double_flag(a, 16, "--restart-burst", 0.0, 10000.0,
-                             opts.restart_burst))
-        return 2;
-    } else if (a.rfind("--restart-refill=", 0) == 0) {
-      if (!parse_double_flag(a, 17, "--restart-refill", 0.0, 10000.0,
-                             opts.restart_refill))
-        return 2;
-    } else if (a == "--quiet") {
-      opts.log = nullptr;
-    } else {
-      std::cerr << "afs_sweep serve: unknown argument '" << a << "'\n";
-      return 2;
-    }
-  }
-  if (opts.socket_path.empty()) {
-    std::cerr << "afs_sweep serve: --socket=PATH is required\n";
+  std::string error;
+  if (!service::parse_serve_args(args, opts, error)) {
+    std::cerr << "afs_sweep serve: " << error << "\n";
     return 2;
   }
   try {
@@ -564,12 +479,10 @@ bool build_request_line(const std::vector<std::string>& args,
     } else if (a.rfind("--tag=", 0) == 0) {
       tag = a.substr(6);
     } else if (a.rfind("--deadline=", 0) == 0) {
-      char* end = nullptr;
-      deadline = std::strtod(a.c_str() + 11, &end);
-      if (end == a.c_str() + 11 || *end != '\0' || !(deadline > 0.0)) {
-        error = "bad --deadline value";
+      // The protocol's own bound: seconds in (0, 86400].
+      if (!bench::parse_flag_value(a, "--deadline", 0.001, 86400.0, deadline,
+                                   error))
         return false;
-      }
     } else if (a.rfind("--", 0) == 0) {
       error = "unknown argument '" + a + "'";
       return false;
@@ -615,14 +528,14 @@ int cmd_request(const std::vector<std::string>& args) {
     } else if (a == "--raw") {
       raw = true;
     } else if (a.rfind("--timeout=", 0) == 0) {
-      if (!parse_double_flag(a, 10, "--timeout", 0.001, 86400.0, timeout))
+      if (!flag_value("request", a, "--timeout", 0.001, 86400.0, timeout))
         return 2;
     } else if (a.rfind("--retries=", 0) == 0) {
-      if (!parse_int_flag(a, 10, "--retries", 0, 100, retry.retries))
+      if (!flag_value("request", a, "--retries", 0, 100, retry.retries))
         return 2;
     } else if (a.rfind("--backoff=", 0) == 0) {
-      if (!parse_double_flag(a, 10, "--backoff", 0.0, 3600.0,
-                             retry.backoff_base))
+      if (!flag_value("request", a, "--backoff", 0.0, 3600.0,
+                      retry.backoff_base))
         return 2;
     } else {
       rest.push_back(a);

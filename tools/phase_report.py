@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render engine phase-timer breakdowns (<id>.phases.json) as a table.
 
-A bench binary run with --time-phases writes one phases.json next to its
+`afs_sweep run <id> --time-phases` writes one phases.json next to the
 CSV: per-scheduler aggregates of where the engine's host wall clock went
 (scheduler calls, work charging, footprint generation, MemorySystem
 access, and the residual event-core bookkeeping). This prints each file

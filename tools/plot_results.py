@@ -48,7 +48,7 @@ def main():
     src = sys.argv[1] if len(sys.argv) > 1 else "bench_results"
     out = sys.argv[2] if len(sys.argv) > 2 else "bench_results/plots"
     if not os.path.isdir(src):
-        sys.exit(f"no such directory: {src} (run the bench binaries first)")
+        sys.exit(f"no such directory: {src} (run `afs_sweep run --all` first)")
 
     try:
         import matplotlib
